@@ -51,14 +51,12 @@ from .fluid import (
 )
 from .sim import (
     SimConfig,
-    empirical_state,
     hitting_time,
     lattice_round,
     make_engine,
     occupancy,
     run_many,
     run_throughput,
-    step,
     trajectory_deviation,
 )
 from .presets import PRESETS, get_preset
@@ -102,14 +100,12 @@ __all__ = [
     "linearize",
     "stability_certificate",
     "SimConfig",
-    "empirical_state",
     "hitting_time",
     "lattice_round",
     "make_engine",
     "occupancy",
     "run_many",
     "run_throughput",
-    "step",
     "trajectory_deviation",
     "PRESETS",
     "get_preset",

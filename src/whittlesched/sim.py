@@ -1,28 +1,34 @@
 """Finite-N Monte Carlo simulation of the index scheduler.
 
-Two engines compute the same process:
+Two engines, two laws:
 
-* ``users``: one record per user (class, true channel bit, belief state).
-  This is the reference implementation; scheduling picks the ``floor(alpha*N)``
-  highest-index users with a seeded uniform tie-break on the boundary rung.
-* ``pooled``: per-(class, belief-state) counts of users split by true channel
-  bit.  Users sharing a belief state are exchangeable and their bits are iid
-  Bernoulli(belief), so the tie-break becomes a hypergeometric split across
-  the boundary rung and channel transitions become binomial draws.  The law of
-  the counts is identical to the per-user engine, but a slot costs O(states)
-  instead of O(N), which is what makes population sizes of 1e5 over 1e5 slots
-  tractable.
+* ``pooled``: the truncated belief model that ``fluid`` and ``relaxed``
+  analyse, simulated exactly.  The state is one count per (class, lattice
+  state) and holds no channel bits.  Given the observation history, the bits of
+  users who share a belief state are iid Bernoulli(belief), so a bit is drawn
+  only when its user is observed.  Each slot draws the scheduling tie-break
+  first (a multivariate hypergeometric split of the boundary rung under
+  ``whittle``, binomial activations under ``relaxed``), then the ON
+  observations of the scheduled users (one binomial per scheduled state).
+  Idle users age deterministically and observed users reset to OnAge(1) or
+  OffAge(1).  A slot costs O(states) instead of O(N), which is what makes
+  N = 1e5 over 1e5 slots tractable.
+* ``users``: the physical reference, one record per user (class, true channel
+  bit, belief state); each slot draws the channel transitions first, then the
+  scheduling tie-break.  It differs from the pooled law only for users in the
+  collapsed age-tau state, whose true belief is within |p - r|^tau of the
+  stationary one.
 
-Per slot, both engines draw randomness in a fixed documented order (channel
-transitions first, then scheduling tie-breaks), so runs are reproducible
-bit-for-bit given (config, seed).
+Scheduling picks the ``floor(alpha*N)`` highest-index users with a seeded
+uniform tie-break on the boundary rung.  Runs of either engine are
+reproducible bit-for-bit given (config, seed).
 """
 
 from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -100,18 +106,6 @@ def lattice_round(z: np.ndarray, mix: ClassMix, n_users: int) -> np.ndarray:
     return out
 
 
-def _scheduling_order(model: FluidModel):
-    """Rung-major, layout-minor ordering of all states, plus the start offset
-    of each rung within that ordering (with an end sentinel)."""
-    order = []
-    starts = []
-    for _, pos in model.rungs:
-        starts.append(len(order))
-        order.extend(int(i) for i in pos)
-    starts.append(len(order))
-    return np.array(order, dtype=np.intp), np.array(starts, dtype=np.intp)
-
-
 class _EngineBase:
     def __init__(self, config: SimConfig, table: IndexTable | None = None,
                  solution: RelaxedSolution | None = None):
@@ -124,8 +118,6 @@ class _EngineBase:
         self.rng = np.random.default_rng(config.seed)
         self.n = config.n_users
         self.k_slots = config.k_slots
-        self.p_arr = np.repeat(self.model.p, self.model.block)
-        self.r_arr = np.repeat(self.model.r, self.model.block)
         if config.policy == "relaxed":
             if solution is None:
                 solution = solve_relaxed(self.mix, table)
@@ -144,7 +136,10 @@ class _EngineBase:
                     self.act_prob[rung_pos] = solution.rho_star
         else:
             self.solution = solution
-        self.order, self.rung_starts = _scheduling_order(self.model)
+        # rung-major, layout-minor order of all states, with rung start
+        # offsets closed by an end sentinel
+        self.order = self.model._rung_order
+        self.rung_starts = np.append(self.model._rung_starts, self.model.dim)
         # accumulators past burn-in
         self.t = 0
         self.belief_reward = 0.0
@@ -207,88 +202,57 @@ class _EngineBase:
 
 
 class PooledEngine(_EngineBase):
-    """Counts per (class, belief state), split by true channel bit."""
+    """Counts per (class, belief state); channel bits are drawn only when
+    their users are observed."""
 
     def __init__(self, config, table=None, solution=None):
         super().__init__(config, table, solution)
-        counts = self._initial_counts()
-        beliefs = self.model.beliefs
-        self.n_on = self.rng.binomial(counts, beliefs)
-        self.n_off = counts - self.n_on
+        self.counts = self._initial_counts()
+        if config.policy == "relaxed":
+            self.act_full = self.act_prob == 1.0
+            self.act_rand = np.flatnonzero((self.act_prob > 0.0) & (self.act_prob < 1.0))
 
     def empirical_state(self) -> np.ndarray:
-        return (self.n_on + self.n_off) / self.n
+        return self.counts / self.n
 
     def _schedule_whittle(self, counts: np.ndarray) -> np.ndarray:
         m = np.zeros(self.model.dim, dtype=np.int64)
         full, boundary, need = self._whittle_cut(counts)
         m[full] = counts[full]
-        if need > 0:
-            # uniform random subset of the boundary rung's users: sequential
-            # multivariate hypergeometric over its states in layout order
-            left = need
-            rest = int(counts[boundary].sum())
-            for s in boundary:
-                c = int(counts[s])
-                rest -= c
-                if left == 0:
-                    break
-                take = left if rest == 0 else int(self.rng.hypergeometric(c, rest, left))
-                m[s] = take
-                left -= take
+        if boundary.size == 1:
+            m[boundary] = need
+        elif need > 0:
+            # uniform random subset of the boundary rung's users
+            m[boundary] = self.rng.multivariate_hypergeometric(counts[boundary], need)
         return m
 
-    def _schedule_relaxed(self, counts: np.ndarray):
-        # independent Bernoulli(act_prob) per user; by bit so the on/off split
-        # of the scheduled set is drawn consistently
-        sched_on = self.rng.binomial(self.n_on, self.act_prob)
-        sched_off = self.rng.binomial(self.n_off, self.act_prob)
-        return sched_on, sched_off
+    def _schedule_relaxed(self, counts: np.ndarray) -> np.ndarray:
+        # independent Bernoulli(act_prob) per user
+        m = np.where(self.act_full, counts, 0)
+        rand = self.act_rand
+        m[rand] = self.rng.binomial(counts[rand], self.act_prob[rand])
+        return m
 
     def step(self):
-        counts = self.n_on + self.n_off
+        counts = self.counts
         if self.config.policy == "whittle":
             m = self._schedule_whittle(counts)
-            # scheduled users are a uniform subset within each state, so their
-            # ON share is hypergeometric
-            sched_on = np.zeros_like(m)
-            mask = m > 0
-            if mask.any():
-                sched_on[mask] = self.rng.hypergeometric(
-                    self.n_on[mask], self.n_off[mask], m[mask])
-            sched_off = m - sched_on
         else:
-            sched_on, sched_off = self._schedule_relaxed(counts)
-            m = sched_on + sched_off
-        belief_mass = float(m @ self.model.beliefs)
-        realized = int(sched_on.sum())
-
-        u_on = self.n_on - sched_on
-        u_off = self.n_off - sched_off
-        p_arr, r_arr = self.p_arr, self.r_arr
-        # channel transitions: every user keeps/gains the ON bit independently
-        stay_on = self.rng.binomial(u_on, p_arr)
-        gain_on = self.rng.binomial(u_off, r_arr)
-        new_on = np.zeros_like(self.n_on)
-        new_off = np.zeros_like(self.n_off)
-        np.add.at(new_on, self.model.age_to, stay_on + gain_on)
-        np.add.at(new_off, self.model.age_to, (u_on - stay_on) + (u_off - gain_on))
-        # scheduled users reset by observation, then transition
-        obs_on_next = self.rng.binomial(sched_on, p_arr)
-        obs_off_next = self.rng.binomial(sched_off, r_arr)
-        for k in range(self.mix.n_classes):
-            sl = self.model.class_slice(k)
-            on1, off1 = self.model.on1[k], self.model.off1[k]
-            so = int(sched_on[sl].sum())
-            sf = int(sched_off[sl].sum())
-            son = int(obs_on_next[sl].sum())
-            sfn = int(obs_off_next[sl].sum())
-            new_on[on1] += son
-            new_off[on1] += so - son
-            new_on[off1] += sfn
-            new_off[off1] += sf - sfn
-        self.n_on, self.n_off = new_on, new_off
-        self._tally(belief_mass, realized, int(m.sum()))
+            m = self._schedule_relaxed(counts)
+        # observations: the scheduled users of a state are ON iid w.p. its belief
+        sel = np.flatnonzero(m)
+        b_sel = self.model.beliefs[sel]
+        obs_on = np.zeros_like(m)
+        obs_on[sel] = self.rng.binomial(m[sel], b_sel)
+        # idle users age; observed users reset to OnAge(1) / OffAge(1)
+        new = np.bincount(self.model.age_to, weights=counts - m,
+                          minlength=self.model.dim).astype(np.int64)
+        served = np.add.reduceat(m, self.model._class_starts)
+        on = np.add.reduceat(obs_on, self.model._class_starts)
+        new[self.model.on1] += on
+        new[self.model.off1] += served - on
+        self.counts = new
+        self._tally(float(m[sel] @ b_sel), int(on.sum()), int(served.sum()))
 
 
 class UserEngine(_EngineBase):
@@ -349,15 +313,6 @@ def make_engine(config: SimConfig, table: IndexTable | None = None,
                 solution: RelaxedSolution | None = None):
     cls = PooledEngine if config.engine == "pooled" else UserEngine
     return cls(config, table, solution)
-
-
-def step(run) -> None:
-    """Advance a simulation run by one slot."""
-    run.step()
-
-
-def empirical_state(run) -> np.ndarray:
-    return run.empirical_state()
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +387,13 @@ def trajectory_deviation(config: SimConfig, steps: int,
 def _worker_count(n_tasks: int) -> int:
     env = os.environ.get(WORKERS_ENV)
     if env:
-        return max(1, int(env))
+        try:
+            workers = int(env)
+        except ValueError:
+            workers = 0
+        if workers < 1:
+            raise ValueError(f"{WORKERS_ENV} must be a positive integer, got {env!r}")
+        return workers
     return max(1, min(os.cpu_count() or 1, n_tasks))
 
 

@@ -212,6 +212,131 @@ def test_relaxed_policy_rates(single_mix, single_table, single_solution, engine)
     assert out["belief_throughput"] == pytest.approx(SINGLE_RATE, abs=4e-3)
 
 
+def test_engines_agree_from_stationary_start_on_two_classes(two_mix, two_table,
+                                                           two_solution):
+    means = {}
+    ses = {}
+    for engine in ENGINES:
+        vals = []
+        for seed in (21, 22, 23, 24):
+            cfg = _sim(two_mix, 200, 3000, seed=seed, engine=engine,
+                       initial_state="all_stationary", burn_in=300)
+            vals.append(run_throughput(cfg, two_table)["belief_throughput"])
+        vals = np.asarray(vals)
+        means[engine] = vals.mean()
+        ses[engine] = vals.std(ddof=1) / np.sqrt(len(vals))
+    gap = abs(means["pooled"] - means["users"])
+    assert gap <= 3.0 * np.hypot(ses["pooled"], ses["users"])
+    for engine in ENGINES:
+        assert means[engine] == pytest.approx(two_solution.throughput_per_user, abs=0.01)
+
+
+# ---------------------------------------------------------------------------
+# exact one-step law of the pooled engine at a lattice state
+
+ONE_STEP_N = 1000
+ONE_STEP_DRAWS = 4000
+# |mean - expectation| <= Z_LIMIT standard errors: a two-sided normal tail of
+# 7e-6 per coordinate, 5e-4 over the 66 coordinates of the two-class state
+Z_LIMIT = 4.5
+
+
+def _two_class_lattice_point(mix, states, seed):
+    """Dirichlet-distributed mass over the given block positions of each
+    class, rounded to the 1/N lattice."""
+    rng = np.random.default_rng(seed)
+    block = 2 * mix.tau + 1
+    z = np.zeros(mix.n_classes * block)
+    for k, g in enumerate(mix.gamma):
+        z[k * block + states] = g * rng.dirichlet(np.ones(states.size))
+    return lattice_round(z, mix, ONE_STEP_N)
+
+
+def _one_step_variance(model, counts, boundary, need):
+    """Exact variance of each coordinate of N Z' after one whittle slot from
+    the counts.  The scheduled counts m are deterministic off the boundary
+    rung and multivariate hypergeometric on it:
+    Cov(m_B) = need (R - need) / (R - 1) (diag(pi) - pi pi^T), pi = c_B / R.
+    Given m, the ON observations of state i are Binomial(m_i, b_i).  N Z'_j is
+    a constant plus w_j . m plus the observation noise of class k on its
+    OnAge(1) and OffAge(1) coordinates, so
+    Var(N Z'_j) = Var(w_j . m) + sum_{i in k} E[m_i] b_i (1 - b_i)."""
+    d = model.dim
+    b = model.beliefs
+    cls = np.repeat(np.arange(model.mix.n_classes), model.block)
+    w = np.zeros((d, d))
+    w[model.age_to, np.arange(d)] -= 1.0
+    w[model.on1[cls], np.arange(d)] += b
+    w[model.off1[cls], np.arange(d)] += 1.0 - b
+    var = np.zeros(d)
+    if boundary.size > 1:
+        r = counts[boundary].sum()
+        pi = counts[boundary] / r
+        wb = w[:, boundary]
+        f = need * (r - need) / (r - 1)
+        var += f * ((wb ** 2) @ pi - (wb @ pi) ** 2)
+    mean_m = model.activation_profile(counts / ONE_STEP_N) * counts
+    obs = np.bincount(cls, weights=mean_m * b * (1.0 - b), minlength=model.mix.n_classes)
+    var[model.on1] += obs
+    var[model.off1] += obs
+    return var
+
+
+@pytest.mark.parametrize("support, boundary_size", [
+    ("all", 17),        # the cut falls on a tied rung: hypergeometric split
+    ("off_ages", 1),    # the cut falls on a single position: no tie-break
+])
+def test_pooled_one_step_mean_is_the_fluid_map(two_mix, two_table, support,
+                                               boundary_size):
+    model = FluidModel(two_mix, two_table)
+    states = (np.arange(model.block) if support == "all"
+              else np.arange(two_mix.tau))
+    z = _two_class_lattice_point(two_mix, states, seed=2024)
+    counts = np.rint(z * ONE_STEP_N).astype(np.int64)
+    eng = make_engine(_sim(two_mix, ONE_STEP_N, 1, seed=31), two_table)
+    _, boundary, need = eng._whittle_cut(counts)
+    assert boundary.size == boundary_size and need > 0
+    if boundary_size == 1:
+        # no draw: the scheduled counts are the fluid's served mass exactly
+        m = eng._schedule_whittle(counts)
+        assert np.abs(m - model.activation_profile(z) * counts).max() < 1e-9
+        assert m.sum() == eng.k_slots
+
+    class_totals = np.add.reduceat(counts, model._class_starts)
+    total = np.zeros(model.dim)
+    for _ in range(ONE_STEP_DRAWS):
+        eng.counts = counts.copy()
+        eng.step()
+        assert np.array_equal(np.add.reduceat(eng.counts, model._class_starts),
+                              class_totals)
+        total += eng.counts
+    mean = total / ONE_STEP_DRAWS
+    expected = ONE_STEP_N * model.step(z)
+    se = np.sqrt(_one_step_variance(model, counts, boundary, need) / ONE_STEP_DRAWS)
+    assert np.all(np.abs(mean - expected) <= Z_LIMIT * se + 1e-9)
+    # not vacuous: at least each class's OnAge(1) and OffAge(1) are random
+    assert np.count_nonzero(se) >= 2 * two_mix.n_classes
+
+
+def test_pooled_relaxed_activation_mean(two_mix, two_table, two_solution):
+    model = FluidModel(two_mix, two_table)
+    z = _two_class_lattice_point(two_mix, np.arange(model.block), seed=7)
+    counts = np.rint(z * ONE_STEP_N).astype(np.int64)
+    eng = make_engine(_sim(two_mix, ONE_STEP_N, 1, seed=32, policy="relaxed"),
+                      two_table, two_solution)
+    a = eng.act_prob
+    assert np.any((a > 0.0) & (a < 1.0))
+    total = np.zeros(model.dim)
+    for _ in range(ONE_STEP_DRAWS):
+        m = eng._schedule_relaxed(counts)
+        assert np.all((0 <= m) & (m <= counts))
+        total += m
+    mean = total / ONE_STEP_DRAWS
+    # m_i ~ Binomial(c_i, a_i), independent across states
+    se = np.sqrt(counts * a * (1.0 - a) / ONE_STEP_DRAWS)
+    assert np.all(np.abs(mean - a * counts) <= Z_LIMIT * se + 1e-9)
+
+
 # ---------------------------------------------------------------------------
 # hitting times, occupancy, deviation
 
@@ -295,3 +420,10 @@ def test_worker_count_respects_env(monkeypatch):
     assert _worker_count(8) == 2
     monkeypatch.delenv("WHITTLESCHED_WORKERS")
     assert _worker_count(1) == 1
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
+def test_worker_count_rejects_a_bad_env_value(monkeypatch, value):
+    monkeypatch.setenv("WHITTLESCHED_WORKERS", value)
+    with pytest.raises(ValueError, match="WHITTLESCHED_WORKERS must be a positive integer"):
+        _worker_count(8)
