@@ -39,10 +39,6 @@ class ConfigError(Exception):
     pass
 
 
-class CheckFailure(Exception):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # config handling
 
@@ -527,9 +523,6 @@ def main(argv=None) -> int:
     except ValueError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    except CheckFailure as e:
-        print(f"check failed: {e}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

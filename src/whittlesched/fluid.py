@@ -27,14 +27,12 @@ from .belief import (
 from .whittle import IndexTable, build_index_table
 from .relaxed import RelaxedSolution
 
-FD_STEP = 1e-6  # forward-difference step for the numerical linearization
 MASS_TOL = 1e-9  # state-vector validation slack
 
 
 class FluidModel:
     """Precomputed layout, ladder and belief arrays for one mix, with the
-    fluid map and its pieces as methods.  Module-level functions below wrap
-    this for one-shot use."""
+    fluid map and its pieces as methods."""
 
     def __init__(self, mix: ClassMix, table: IndexTable | None = None):
         if table is None:
@@ -71,9 +69,16 @@ class FluidModel:
         # flattened ladder layout so the profile and the step stay in numpy
         self._rung_order = np.concatenate([pos for _, pos in self.rungs])
         sizes = np.array([len(pos) for _, pos in self.rungs], dtype=np.intp)
-        self._rung_sizes = sizes
         self._rung_starts = np.concatenate(([0], np.cumsum(sizes)[:-1])).astype(np.intp)
+        self._rung_of = np.empty(self.dim, dtype=np.intp)  # ladder index per position
+        self._rung_of[self._rung_order] = np.repeat(np.arange(len(sizes)), sizes)
         self._class_starts = (np.arange(mix.n_classes) * self.block).astype(np.intp)
+        # where a slot moves mass: the idle mass of each state, then each
+        # class's ON and OFF observations (no state ages into OnAge(1) or
+        # OffAge(1), so those bins hold the observations alone).  step grows
+        # it to a flattened batch, row j shifted by j * dim; a prefix serves
+        # any smaller batch.
+        self._moves_to = np.concatenate((self.age_to, self.on1, self.off1))
 
     # -- basic state-vector helpers ------------------------------------
 
@@ -98,50 +103,56 @@ class FluidModel:
     # -- the fluid map ---------------------------------------------------
 
     def activation_profile(self, z: np.ndarray) -> np.ndarray:
-        """Scheduled fraction g_i of each state's mass: pour alpha down the
-        ladder; rungs with no mass soak up nothing but still read g = 1 while
-        budget remains (so g is ladder-monotone)."""
+        """Scheduled fraction g_i of each state's mass, for one state (dim,)
+        or row by row for a batch (S, dim): pour alpha down the ladder; rungs
+        with no mass soak up nothing but still read g = 1 while budget
+        remains (so g is ladder-monotone)."""
         z = np.asarray(z, dtype=float)
-        zr = np.add.reduceat(z[self._rung_order], self._rung_starts)
-        above = np.concatenate(([0.0], np.cumsum(zr)[:-1]))
+        zr = np.add.reduceat(z.take(self._rung_order, axis=-1), self._rung_starts, axis=-1)
+        above = np.zeros(zr.shape)  # mass on the rungs above each rung
+        np.add.accumulate(zr[..., :-1], axis=-1, out=above[..., 1:])
         remaining = self.alpha - above
-        with np.errstate(divide="ignore", invalid="ignore"):
-            frac = np.clip(remaining / zr, 0.0, 1.0)
-        empty = zr == 0.0
-        frac[empty] = (remaining[empty] > 0.0).astype(float)
-        g = np.empty(self.dim)
-        g[self._rung_order] = np.repeat(frac, self._rung_sizes)
-        return g
+        frac = (remaining > 0.0).astype(float)  # the value of an empty rung
+        np.divide(remaining, zr, out=frac, where=zr != 0.0)
+        np.maximum(frac, 0.0, out=frac)
+        np.minimum(frac, 1.0, out=frac)
+        return frac.take(self._rung_of, axis=-1)
 
     def step(self, z: np.ndarray) -> np.ndarray:
-        """One slot of the fluid map (O(dim), no matrix assembly)."""
+        """One slot of the fluid map for one state (dim,) or row by row for a
+        batch (S, dim); each row is bit-identical to stepping it alone
+        (O(dim) per row, no matrix assembly)."""
         z = np.asarray(z, dtype=float)
-        g = self.activation_profile(z)
-        served = g * z
-        idle = z - served
-        out = np.bincount(self.age_to, weights=idle, minlength=self.dim)
-        on_mass = np.add.reduceat(served * self.beliefs, self._class_starts)
-        total = np.add.reduceat(served, self._class_starts)
-        out[self.on1] += on_mass
-        out[self.off1] += total - on_mass
-        return out
+        served = self.activation_profile(z) * z
+        on_mass = np.add.reduceat(served * self.beliefs, self._class_starts, axis=-1)
+        off_mass = np.add.reduceat(served, self._class_starts, axis=-1) - on_mass
+        moved = np.concatenate((z - served, on_mass, off_mass), axis=-1)
+        if moved.size > self._moves_to.size:
+            width = moved.shape[-1]
+            rows = np.arange(moved.size // width)[:, None]
+            self._moves_to = (self._moves_to[:width] + self.dim * rows).ravel()
+        return np.bincount(self._moves_to[:moved.size], weights=moved.ravel(),
+                           minlength=z.size).reshape(z.shape)
+
+    def kernel(self, g: np.ndarray) -> np.ndarray:
+        """Column-stochastic per-user kernel K(g) = Age diag(1 - g) + R diag(g)
+        for a scheduled fraction g per state: the idle share of column i ages
+        to age_to[i], the served share resets to its class's OnAge(1) with the
+        belief b_i and to OffAge(1) with 1 - b_i.  The slot map is
+        z' = K(g(z)) z."""
+        g = np.asarray(g, dtype=float)
+        cols = np.arange(self.dim)
+        cls = cols // self.block
+        K = np.zeros((self.dim, self.dim))
+        K[self.age_to, cols] = 1.0 - g
+        K[self.on1[cls], cols] = g * self.beliefs
+        K[self.off1[cls], cols] = g * (1.0 - self.beliefs)
+        return K
 
     def transition_matrix(self, z: np.ndarray) -> np.ndarray:
         """Generator-style matrix Q(z) with columns summing to zero such that
         the slot update is z' = z + Q(z) z."""
-        g = self.activation_profile(z)
-        d = self.dim
-        T = np.zeros((d, d))  # row-stochastic per-user kernel
-        rows = np.arange(d)
-        # idle share ages deterministically
-        T[rows, self.age_to] += 1.0 - g
-        # served share resets by observation
-        for k in range(self.mix.n_classes):
-            b = self.class_slice(k)
-            idx = rows[b]
-            T[idx, self.on1[k]] += g[b] * self.beliefs[b]
-            T[idx, self.off1[k]] += g[b] * (1.0 - self.beliefs[b])
-        return T.T - np.eye(d)
+        return self.kernel(self.activation_profile(z)) - np.eye(self.dim)
 
     # -- marginal-rung region ------------------------------------------
 
@@ -160,21 +171,6 @@ class FluidModel:
             above += z[self.rungs[j][1]].sum()
         rung_mass = z[self.rungs[rung_idx][1]].sum()
         return above < self.alpha <= above + rung_mass
-
-
-def activation_profile(z, table: IndexTable, alpha: float | None = None) -> np.ndarray:
-    model = FluidModel(table.mix, table)
-    if alpha is not None and alpha != model.alpha:
-        model.alpha = alpha
-    return model.activation_profile(z)
-
-
-def transition_matrix(z, table: IndexTable) -> np.ndarray:
-    return FluidModel(table.mix, table).transition_matrix(z)
-
-
-def fluid_step(z, table: IndexTable) -> np.ndarray:
-    return FluidModel(table.mix, table).step(z)
 
 
 # ---------------------------------------------------------------------------
@@ -233,19 +229,20 @@ def _eliminated_coordinates(model: FluidModel, solution: RelaxedSolution) -> lis
     return out
 
 
-def linearize(solution: RelaxedSolution, table: IndexTable | None = None,
-              fd_step: float | None = None) -> LinearizedSystem:
-    """Extract the exact affine form of the fluid map on the marginal-rung
-    region by finite differences around the fixed point.
+def linearize(solution: RelaxedSolution,
+              table: IndexTable | None = None) -> LinearizedSystem:
+    """Exact affine form of the fluid map on the marginal-rung region, read
+    off the map.
 
-    Differencing runs along simplex-tangent directions (mass moved from the
-    class's eliminated coordinate to coordinate i), so every probe stays a
-    valid state inside the region.  The map is affine there, so the step size
-    is mathematically uncritical; numerically, larger steps divide the
-    rounding noise of the two map evaluations by a larger number, so by
-    default each direction uses the largest step the region admits (about
-    1e-2 here) rather than a fixed small increment, keeping the extracted
-    entries accurate to ~1e-14.
+    On the region every position above the single-position rung s is fully
+    served and s takes the leftover budget, so the served mass is
+    sigma(z) = S z + alpha e_s, with S the identity on the above positions
+    and -1 on row s in their columns.  The slot map z' = K(0) z +
+    (K(1) - K(0)) sigma(z) is then J z + a with J = K(0) + (K(1) - K(0)) S
+    and a = alpha (K(1) - K(0)) e_s.  The reduced form moves mass from each
+    class's eliminated coordinate to coordinate i: its column i is
+    J[:, i] - J[:, elim].  A rung tied across positions is not affine (its
+    served share is a ratio of masses), so it is rejected.
     """
     if solution.degenerate:
         raise ValueError("cannot linearize a degenerate solution")
@@ -257,49 +254,35 @@ def linearize(solution: RelaxedSolution, table: IndexTable | None = None,
     if len(model.rungs[rung_idx][1]) > 1:
         raise ValueError("crossing rung is tied across classes; the fluid map "
                          "is not affine on the region")
-    zeta = solution.zeta
     d = model.dim
-    class_of = np.repeat(np.arange(model.mix.n_classes), model.block)
-    elim = _eliminated_coordinates(model, solution)
-    f0 = model.step(zeta)
-    # tangent derivative D[:, i] = dF/dz_i - dF/dz_elim(class of i); columns of
-    # eliminated coordinates stay zero.
-    D = np.zeros((d, d))
-    for i in range(d):
-        if i in elim:
-            continue
-        e = elim[class_of[i]]
-        if fd_step is not None:
-            h = fd_step
-        else:
-            h = 0.9 * zeta[e]
-            while h > 1e-9:
-                zp = zeta.copy()
-                zp[i] += h
-                zp[e] -= h
-                if zp.min() >= 0.0 and model.in_linear_region(zp, rung_idx):
-                    break
-                h *= 0.5
-        zp = zeta.copy()
-        zp[i] += h
-        zp[e] -= h
-        D[:, i] = (model.step(zp) - f0) / h
-    q_star = D - np.eye(d)
-    a_star = f0 - zeta - q_star @ zeta
+    rung = int(model.rungs[rung_idx][1][0])
+    above = [int(i) for j in range(rung_idx) for i in model.rungs[j][1]]
+    # J = K(0) + (K(1) - K(0)) S, built in place: column i of S is
+    # e_i - e_rung for an above position i and zero elsewhere
+    J = model.kernel(np.zeros(d))
+    reset = model.kernel(np.ones(d))
+    reset -= J
+    a_star = model.alpha * reset[:, rung]
+    J[:, above] += reset[:, above] - reset[:, [rung]]
 
-    rung_pos = tuple(int(i) for i in model.rungs[rung_idx][1])
-    above_pos = tuple(
-        int(i) for j in range(rung_idx) for i in model.rungs[j][1])
     region = RegionSpec(
         omega_star=solution.omega_star,
-        rung_positions=rung_pos,
-        above_positions=above_pos,
+        rung_positions=(rung,),
+        above_positions=tuple(above),
         text=(f"sum(z[above]) < alpha <= sum(z[above]) + sum(z[rung]) with "
               f"rung value {solution.omega_star!r}"),
     )
 
+    zeta = solution.zeta
+    elim = _eliminated_coordinates(model, solution)
     keep = [i for i in range(d) if i not in elim]
-    u_star = D[np.ix_(keep, keep)] - np.eye(len(keep))
+    class_of = np.repeat(np.arange(model.mix.n_classes), model.block)
+    elim_of = np.asarray(elim)[class_of[keep]]
+    u_star = J[np.ix_(keep, keep)]
+    u_star -= J[np.ix_(keep, elim_of)]
+    u_star[np.diag_indices(len(keep))] -= 1.0
+    q_star = J
+    q_star[np.diag_indices(d)] -= 1.0
     zeta_reduced = zeta[keep]
     b_star = -(u_star @ zeta_reduced)
     return LinearizedSystem(

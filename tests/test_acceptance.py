@@ -19,7 +19,6 @@ from whittlesched import (
     SimConfig,
     analytic_blocks,
     belief_value,
-    fluid_trajectory,
     hitting_time,
     lattice_round,
     linearize,
@@ -169,14 +168,14 @@ def test_criterion_05_fluid_fixed_point_and_conservation(single_solution,
         rng = np.random.default_rng(2024)
         gamma = np.asarray(solution.mix.gamma)
         slices = [model.class_slice(k) for k in range(solution.mix.n_classes)]
-        for _ in range(50):
-            z = _random_product_simplex(model, rng)
-            for t in range(1, 10_001):
-                z = model.step(z)
-                if t % 100 == 0 or t == 10_000:
-                    min_entry = min(min_entry, float(z.min()))
-                    for k, sl in enumerate(slices):
-                        drift = max(drift, abs(float(z[sl].sum()) - gamma[k]))
+        # the 50 starts step as one batch; each row is the serial trajectory
+        z = np.stack([_random_product_simplex(model, rng) for _ in range(50)])
+        for t in range(1, 10_001):
+            z = model.step(z)
+            if t % 100 == 0 or t == 10_000:
+                min_entry = min(min_entry, float(z.min()))
+                for k, sl in enumerate(slices):
+                    drift = max(drift, float(np.abs(z[:, sl].sum(axis=1) - gamma[k]).max()))
     el = time.monotonic() - t0
     ok = max(norms) < 1e-10 and drift <= 1e-14 and min_entry >= 0.0
     _verdict(5, "fixed point solves Q(zeta) zeta = 0 and the map conserves mass",
@@ -228,13 +227,18 @@ def test_criterion_08_local_fluid_convergence(single_solution, two_solution):
         model = FluidModel(solution.mix, solution.table)
         rung = model.crossing_rung(solution)
         rng = np.random.default_rng(6)
+        starts = []
         for _ in range(5):
             probe = _region_point(model, solution.zeta, rung, rng)
             delta = probe - solution.zeta
             delta *= 1e-3 / np.linalg.norm(delta)
-            traj = fluid_trajectory(solution.zeta + delta, 10_000,
-                                    solution.table, zeta=solution.zeta)
-            worst = max(worst, float(traj.distances[-1]))
+            starts.append(solution.zeta + delta)
+            model.validate(starts[-1])
+        # the 5 starts step as one batch; each row is the serial trajectory
+        z = np.stack(starts)
+        for _ in range(10_000):
+            z = model.step(z)
+        worst = max(worst, *(float(np.linalg.norm(row - solution.zeta)) for row in z))
     el = time.monotonic() - t0
     _verdict(8, "perturbed fluid states return to the fixed point",
              worst < 1e-8, f"max ||z[1e4] - zeta|| = {worst:.2e} < 1e-8 "

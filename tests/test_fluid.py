@@ -1,6 +1,8 @@
 """Mean-field dynamics tests: activation profile, slot map, fixed points,
 affine structure on the marginal-rung region, and stability certificates."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,7 +20,8 @@ from whittlesched import (
     solve_relaxed,
     stability_certificate,
 )
-from whittlesched.fluid import activation_profile, fluid_step, transition_matrix
+from whittlesched.cli import main as cli_main, parse_mix
+from whittlesched.presets import get_preset
 
 FIXED_POINT_TOL = 1e-10
 AFFINE_TOL = 1e-12
@@ -97,8 +100,10 @@ def test_profile_at_single_class_fixed_point(single_solution, single_table):
     assert float(g @ zeta) == pytest.approx(single_solution.mix.alpha, abs=1e-12)
 
 
-def test_profile_serves_everything_with_unit_budget(single_solution, single_table):
-    g = activation_profile(single_solution.zeta, single_table, alpha=1.0)
+def test_profile_serves_everything_with_unit_budget(single_solution):
+    mix = single_solution.mix
+    model = FluidModel(ClassMix(mix.classes, mix.gamma, 1.0))
+    g = model.activation_profile(single_solution.zeta)
     assert np.all(g == 1.0)
 
 
@@ -143,12 +148,17 @@ def test_transition_matrix_matches_step(preset, seed):
     assert z + q @ z == pytest.approx(model.step(z), abs=1e-13)
 
 
-def test_wrappers_delegate(single_solution, single_table):
-    model = FluidModel(single_solution.mix, single_table)
-    z = random_state(model, np.random.default_rng(3))
-    assert np.array_equal(fluid_step(z, single_table), model.step(z))
-    assert np.array_equal(transition_matrix(z, single_table),
-                          model.transition_matrix(z))
+@pytest.mark.parametrize("name", ["single-class", "two-class", "fig5"])
+def test_batched_step_rows_equal_single_steps(name):
+    model = FluidModel(parse_mix(get_preset(name)["mix"]))
+    rng = np.random.default_rng(11)
+    batch = np.stack([random_state(model, rng) for _ in range(20)])
+    for _ in range(120):
+        nxt = model.step(batch)
+        assert nxt.shape == batch.shape
+        for row, z in zip(nxt, batch):
+            assert np.array_equal(row, model.step(z))
+        batch = nxt
 
 
 def test_step_conserves_class_mass(preset):
@@ -353,6 +363,30 @@ def test_linearize_rejects_tied_crossing_rung():
     solution = solve_relaxed(mix)
     with pytest.raises(ValueError, match="tied across classes"):
         linearize(solution)
+
+
+def test_linearize_with_an_empty_eliminated_coordinate(tmp_path):
+    # the second class has threshold age 1, so its eliminated coordinate is
+    # the stationary state, where zeta holds no mass
+    mix = {"classes": [{"p": 0.6, "r": 0.075, "tau": 16},
+                       {"p": 0.6, "r": 0.3, "tau": 16}],
+           "gamma": [0.45, 0.55], "alpha": 0.6}
+    solution = solve_relaxed(parse_mix(mix))
+    lin = linearize(solution)
+    assert solution.zeta[list(lin.eliminated)].min() == 0.0
+    assert np.isfinite(lin.u_star).all() and np.isfinite(lin.b_star).all()
+    model = FluidModel(solution.mix, solution.table)
+    rung = model.crossing_rung(solution)
+    rng = np.random.default_rng(29)
+    for _ in range(50):
+        z = region_point(model, solution.zeta, rung, rng)
+        assert np.abs(model.step(z) - lin.affine_step(z)).max() < AFFINE_TOL
+    assert stability_certificate(lin.u_star).certified
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"schema": 1, "mix": mix}))
+    assert cli_main(["pipeline", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "pipeline_report.json").read_text())
+    assert report["status"] == "pass"
 
 
 # ---------------------------------------------------------------------------
