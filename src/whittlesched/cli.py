@@ -25,7 +25,7 @@ from . import __version__
 from .belief import ChannelClass, ClassMix, belief_value, lattice_states
 from .whittle import build_index_table
 from .relaxed import solve_relaxed
-from .fluid import FluidModel, fluid_trajectory, linearize, stability_certificate
+from .fluid import FluidModel, linearize, stability_certificate
 from .presets import get_preset
 from .sim import SimConfig, hitting_time, lattice_round, occupancy, run_many, \
     run_throughput, trajectory_deviation

@@ -8,11 +8,12 @@ Two engines, two laws:
   users who share a belief state are iid Bernoulli(belief), so a bit is drawn
   only when its user is observed.  Each slot draws the scheduling tie-break
   first (a multivariate hypergeometric split of the boundary rung under
-  ``whittle``, binomial activations under ``relaxed``), then the ON
-  observations of the scheduled users (one binomial per scheduled state).
-  Idle users age deterministically and observed users reset to OnAge(1) or
-  OffAge(1).  A slot costs O(states) instead of O(N), which is what makes
-  N = 1e5 over 1e5 slots tractable.
+  ``whittle``, one binomial per randomized state under ``relaxed``), then the
+  ON observations of the scheduled users, one binomial per scheduled state in
+  ascending layout order; that sequence of draws is the random stream a seed
+  names.  Idle users age deterministically and observed users reset to
+  OnAge(1) or OffAge(1).  A slot costs O(states) instead of O(N), which is
+  what makes N = 1e5 over 1e5 slots tractable.
 * ``users``: the physical reference, one record per user (class, true channel
   bit, belief state); each slot draws the channel transitions first, then the
   scheduling tie-break.  It differs from the pooled law only for users in the
@@ -27,7 +28,6 @@ reproducible bit-for-bit given (config, seed).
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -136,10 +136,6 @@ class _EngineBase:
                     self.act_prob[rung_pos] = solution.rho_star
         else:
             self.solution = solution
-        # rung-major, layout-minor order of all states, with rung start
-        # offsets closed by an end sentinel
-        self.order = self.model._rung_order
-        self.rung_starts = np.append(self.model._rung_starts, self.model.dim)
         # accumulators past burn-in
         self.t = 0
         self.belief_reward = 0.0
@@ -181,24 +177,18 @@ class _EngineBase:
             "slots": self.tallied_slots,
         }
 
-    def _whittle_cut(self, counts: np.ndarray):
-        """Split the budget over the ladder: returns (fully scheduled states,
-        boundary-rung states, number still needed from the boundary rung).
-        The boundary rung is the first whose cumulative population reaches the
-        budget; a rung that fits exactly is folded into the full set."""
-        c_ord = counts[self.order]
-        starts = self.rung_starts
-        rung_tot = np.add.reduceat(c_ord, starts[:-1])
-        rcum = np.cumsum(rung_tot)
-        k = self.k_slots
-        j = int(np.searchsorted(rcum, k))
-        if j >= rung_tot.size:  # budget >= population: everyone scheduled
-            return self.order, self.order[:0], 0
-        prev = int(rcum[j - 1]) if j > 0 else 0
-        need = k - prev
-        if need == int(rung_tot[j]):
-            return self.order[: starts[j + 1]], self.order[:0], 0
-        return self.order[: starts[j]], self.order[starts[j]: starts[j + 1]], need
+    def _whittle_cut(self, counts: np.ndarray) -> tuple[int, int]:
+        """Walk the ladder until the budget is spent: returns (j, need), where
+        the first j rungs are scheduled in full and need more users come from
+        rung j.  need is 0 when a rung fits exactly or everyone is scheduled."""
+        model = self.model
+        rung_tot = np.add.reduceat(counts[model._rung_order], model._rung_starts).tolist()
+        left = self.k_slots
+        for j, tot in enumerate(rung_tot):
+            if tot >= left:
+                return (j + 1, 0) if tot == left else (j, left)
+            left -= tot
+        return len(rung_tot), 0
 
 
 class PooledEngine(_EngineBase):
@@ -208,29 +198,37 @@ class PooledEngine(_EngineBase):
     def __init__(self, config, table=None, solution=None):
         super().__init__(config, table, solution)
         self.counts = self._initial_counts()
+        model = self.model
+        # row j is 1 on the positions of the first j rungs
+        self.above = (model._rung_of < np.arange(len(model.rungs) + 1)[:, None]).astype(np.int64)
+        self.n_classes = self.mix.n_classes
+        self.class_of = (np.arange(model.dim) // model.block).tolist()
+        self.moves_to = model._moves_to[: model.dim + 2 * self.n_classes]
         if config.policy == "relaxed":
-            self.act_full = self.act_prob == 1.0
-            self.act_rand = np.flatnonzero((self.act_prob > 0.0) & (self.act_prob < 1.0))
+            self.act_full = (self.act_prob == 1.0).astype(np.int64)
+            rand = np.flatnonzero((self.act_prob > 0.0) & (self.act_prob < 1.0))
+            self.act_rand = list(zip(rand.tolist(), self.act_prob[rand].tolist()))
 
     def empirical_state(self) -> np.ndarray:
         return self.counts / self.n
 
     def _schedule_whittle(self, counts: np.ndarray) -> np.ndarray:
-        m = np.zeros(self.model.dim, dtype=np.int64)
-        full, boundary, need = self._whittle_cut(counts)
-        m[full] = counts[full]
-        if boundary.size == 1:
-            m[boundary] = need
-        elif need > 0:
-            # uniform random subset of the boundary rung's users
-            m[boundary] = self.rng.multivariate_hypergeometric(counts[boundary], need)
+        j, need = self._whittle_cut(counts)
+        m = counts * self.above[j]
+        if need:
+            rung = self.model.rungs[j][1]
+            if rung.size == 1:
+                m[rung[0]] = need
+            else:
+                # uniform random subset of the boundary rung's users
+                m[rung] = self.rng.multivariate_hypergeometric(counts[rung], need)
         return m
 
     def _schedule_relaxed(self, counts: np.ndarray) -> np.ndarray:
         # independent Bernoulli(act_prob) per user
-        m = np.where(self.act_full, counts, 0)
-        rand = self.act_rand
-        m[rand] = self.rng.binomial(counts[rand], self.act_prob[rand])
+        m = counts * self.act_full
+        for i, a in self.act_rand:
+            m[i] = self.rng.binomial(int(counts[i]), a)
         return m
 
     def step(self):
@@ -239,20 +237,24 @@ class PooledEngine(_EngineBase):
             m = self._schedule_whittle(counts)
         else:
             m = self._schedule_relaxed(counts)
-        # observations: the scheduled users of a state are ON iid w.p. its belief
-        sel = np.flatnonzero(m)
+        # observations, one draw per scheduled state in layout order: the
+        # scheduled users of a state are ON iid w.p. its belief
+        sel = m.nonzero()[0]
+        m_sel = m[sel]
         b_sel = self.model.beliefs[sel]
-        obs_on = np.zeros_like(m)
-        obs_on[sel] = self.rng.binomial(m[sel], b_sel)
+        on = [0] * self.n_classes
+        served = [0] * self.n_classes
+        binomial = self.rng.binomial
+        for i, mi, bi in zip(sel.tolist(), m_sel.tolist(), b_sel.tolist()):
+            k = self.class_of[i]
+            on[k] += binomial(mi, bi)
+            served[k] += mi
         # idle users age; observed users reset to OnAge(1) / OffAge(1)
-        new = np.bincount(self.model.age_to, weights=counts - m,
-                          minlength=self.model.dim).astype(np.int64)
-        served = np.add.reduceat(m, self.model._class_starts)
-        on = np.add.reduceat(obs_on, self.model._class_starts)
-        new[self.model.on1] += on
-        new[self.model.off1] += served - on
-        self.counts = new
-        self._tally(float(m[sel] @ b_sel), int(on.sum()), int(served.sum()))
+        off = [s - o for s, o in zip(served, on)]
+        moved = np.concatenate((counts - m, on, off))
+        self.counts = np.bincount(self.moves_to, weights=moved,
+                                  minlength=self.model.dim).astype(np.int64)
+        self._tally(float(m_sel @ b_sel), sum(on), sum(served))
 
 
 class UserEngine(_EngineBase):
@@ -276,14 +278,11 @@ class UserEngine(_EngineBase):
 
     def _schedule_whittle(self) -> np.ndarray:
         counts = np.bincount(self.state, minlength=self.model.dim)
-        full_states, boundary_states, need = self._whittle_cut(counts)
-        full = np.zeros(self.model.dim, dtype=bool)
-        full[full_states] = True
-        sel = full[self.state]
+        j, need = self._whittle_cut(counts)
+        rung = self.model._rung_of[self.state]
+        sel = rung < j
         if need > 0:
-            boundary = np.zeros(self.model.dim, dtype=bool)
-            boundary[boundary_states] = True
-            cand = np.flatnonzero(boundary[self.state])
+            cand = np.flatnonzero(rung == j)
             pick = self.rng.choice(cand, size=need, replace=False)
             sel[pick] = True
         return sel
@@ -403,6 +402,8 @@ def run_many(fn, configs: list, *args, **kwargs) -> list:
     workers = _worker_count(len(configs))
     if workers == 1:
         return [fn(c, *args, **kwargs) for c in configs]
+    from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futs = [pool.submit(fn, c, *args, **kwargs) for c in configs]
         return [f.result() for f in futs]

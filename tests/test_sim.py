@@ -1,9 +1,15 @@
 """Finite-population simulator tests: configuration checks, determinism,
 engine-law agreement, scheduling budget, and the trajectory experiments."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import whittlesched
 from whittlesched import (
     STATIONARY,
     ChannelClass,
@@ -125,6 +131,56 @@ def test_runs_are_reproducible_bit_for_bit(single_mix, single_table,
     r2, z2 = once()
     assert r1 == r2
     assert np.array_equal(z1, z2)
+
+
+# rates() after 200 slots at seed 7, recorded with the array-draw engine that
+# preceded the per-state draws: (mix, policy, N, start, engine, belief
+# throughput, realized throughput, activation).  Exact equality pins the
+# random stream: the tie-break first, then one ON draw per scheduled state in
+# ascending layout order.
+PINNED_RATES = [
+    ("single", "whittle", 1000, "all_off_observed", "pooled",
+     0.4499133333333332, 0.4499666666666667, 0.75),
+    ("single", "whittle", 100000, "all_off_observed", "pooled",
+     0.45004866666666704, 0.45007366666666665, 0.75),
+    ("single", "relaxed", 1000, "all_off_observed", "pooled",
+     0.4470617777777777, 0.44538333333333335, 0.7480722222222222),
+    ("single", "relaxed", 100000, "all_off_observed", "pooled",
+     0.4500151555555553, 0.450032, 0.7499809444444444),
+    ("two", "whittle", 1000, "all_off_observed", "pooled",
+     0.4975506715277778, 0.4983666666666667, 0.6),
+    ("two", "whittle", 100000, "all_off_observed", "pooled",
+     0.4972045525277776, 0.4971913333333333, 0.6),
+    ("two", "relaxed", 1000, "all_off_observed", "pooled",
+     0.49838350208333326, 0.49905555555555553, 0.6012777777777778),
+    ("two", "relaxed", 100000, "all_off_observed", "pooled",
+     0.49725087168055576, 0.49725694444444446, 0.6000374444444444),
+    ("two", "whittle", 1000, "all_stationary", "pooled",
+     0.49694052083333334, 0.49630555555555556, 0.6),
+    # two identical classes: every boundary rung is tied, so each slot draws
+    # the hypergeometric split
+    ("twin", "whittle", 1000, "all_off_observed", "pooled",
+     0.43877194444444445, 0.4393444444444444, 0.6),
+    ("two", "whittle", 1000, "all_off_observed", "users",
+     0.4975006861111112, 0.4979777777777778, 0.6),
+]
+
+
+@pytest.mark.parametrize("mix_name, policy, n_users, start, engine, belief, realized, "
+                         "activation", PINNED_RATES, ids=["-".join(map(str, p[:5]))
+                                                          for p in PINNED_RATES])
+def test_random_stream_is_pinned(single_mix, two_mix, mix_name, policy, n_users, start,
+                                 engine, belief, realized, activation):
+    twin = ChannelClass(0.8, 0.3)
+    mix = {"single": single_mix, "two": two_mix,
+           "twin": ClassMix((twin, twin), (0.5, 0.5), 0.6)}[mix_name]
+    cfg = _sim(mix, n_users, 200, seed=7, policy=policy, initial_state=start,
+               engine=engine)
+    eng = make_engine(cfg)
+    for _ in range(200):
+        eng.step()
+    assert eng.rates() == {"belief_throughput": belief, "realized_throughput": realized,
+                           "activation": activation, "slots": 180}
 
 
 def test_different_seeds_diverge(single_mix, single_table):
@@ -294,7 +350,8 @@ def test_pooled_one_step_mean_is_the_fluid_map(two_mix, two_table, support,
     z = _two_class_lattice_point(two_mix, states, seed=2024)
     counts = np.rint(z * ONE_STEP_N).astype(np.int64)
     eng = make_engine(_sim(two_mix, ONE_STEP_N, 1, seed=31), two_table)
-    _, boundary, need = eng._whittle_cut(counts)
+    j, need = eng._whittle_cut(counts)
+    boundary = model.rungs[j][1]
     assert boundary.size == boundary_size and need > 0
     if boundary_size == 1:
         # no draw: the scheduled counts are the fluid's served mass exactly
@@ -303,19 +360,28 @@ def test_pooled_one_step_mean_is_the_fluid_map(two_mix, two_table, support,
         assert m.sum() == eng.k_slots
 
     class_totals = np.add.reduceat(counts, model._class_starts)
-    total = np.zeros(model.dim)
-    for _ in range(ONE_STEP_DRAWS):
+    draws = np.empty((ONE_STEP_DRAWS, model.dim))
+    for t in range(ONE_STEP_DRAWS):
         eng.counts = counts.copy()
         eng.step()
         assert np.array_equal(np.add.reduceat(eng.counts, model._class_starts),
                               class_totals)
-        total += eng.counts
-    mean = total / ONE_STEP_DRAWS
+        draws[t] = eng.counts
+    mean = draws.mean(axis=0)
     expected = ONE_STEP_N * model.step(z)
-    se = np.sqrt(_one_step_variance(model, counts, boundary, need) / ONE_STEP_DRAWS)
+    var = _one_step_variance(model, counts, boundary, need)
+    se = np.sqrt(var / ONE_STEP_DRAWS)
     assert np.all(np.abs(mean - expected) <= Z_LIMIT * se + 1e-9)
     # not vacuous: at least each class's OnAge(1) and OffAge(1) are random
     assert np.count_nonzero(se) >= 2 * two_mix.n_classes
+    # second moment: the sample variance s2 of n draws has sampling variance
+    # (mu4 - sigma^4 (n - 3) / (n - 1)) / n, estimated from the sample fourth
+    # central moment and s2 itself
+    n = ONE_STEP_DRAWS
+    s2 = draws.var(axis=0, ddof=1)
+    m4 = ((draws - mean) ** 4).mean(axis=0)
+    se_s2 = np.sqrt(np.maximum(m4 - s2 ** 2 * (n - 3) / (n - 1), 0.0) / n)
+    assert np.all(np.abs(s2 - var) <= Z_LIMIT * se_s2 + 1e-9)
 
 
 def test_pooled_relaxed_activation_mean(two_mix, two_table, two_solution):
@@ -413,6 +479,25 @@ def test_run_many_keeps_input_order(single_mix, single_table, monkeypatch):
     assert [o["seed"] for o in outs] == [5, 3, 9]
     assert all(o["n_users"] == 40 for o in outs)
     assert all(o["slots"] == 20 for o in outs)
+
+
+def test_run_many_pool_matches_serial(single_mix, single_table, monkeypatch):
+    configs = [_sim(single_mix, 40, 30, seed=s, burn_in=0) for s in (5, 3, 9)]
+    monkeypatch.setenv("WHITTLESCHED_WORKERS", "1")
+    serial = run_many(run_throughput, configs, single_table)
+    monkeypatch.setenv("WHITTLESCHED_WORKERS", "2")
+    assert run_many(run_throughput, configs, single_table) == serial
+
+
+def test_import_leaves_multiprocessing_unloaded():
+    # the process pool is imported only when run_many starts one
+    src = str(Path(whittlesched.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, whittlesched; print('concurrent.futures.process' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_worker_count_respects_env(monkeypatch):
