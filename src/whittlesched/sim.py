@@ -200,9 +200,11 @@ class PooledEngine(_EngineBase):
         self.counts = self._initial_counts()
         model = self.model
         # row j is 1 on the positions of the first j rungs
-        self.above = (model._rung_of < np.arange(len(model.rungs) + 1)[:, None]).astype(np.int64)
+        cuts = np.arange(len(model.rungs) + 1)[:, None]
+        self.above = (model._rung_of < cuts).astype(np.int64)
         self.n_classes = self.mix.n_classes
         self.class_of = (np.arange(model.dim) // model.block).tolist()
+        # one state's move targets (the model grows the array for batches)
         self.moves_to = model._moves_to[: model.dim + 2 * self.n_classes]
         if config.policy == "relaxed":
             self.act_full = (self.act_prob == 1.0).astype(np.int64)
