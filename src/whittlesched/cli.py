@@ -5,8 +5,9 @@ and writes CSV artifacts.  Every CSV starts with a provenance comment line
 (artifact version, config hash, seed list) followed by a header row; re-runs
 with identical config and seeds are byte-identical.
 
-Exit codes: 0 success, 1 a certified check failed (pipeline), 2 usage or
-config error.
+Exit codes: 0 success; 1 a certified check failed (pipeline) or the library
+raised an error, reported on stderr as ``error:`` with the exception and the
+line that raised it; 2 a usage or config error, reported as ``config error:``.
 """
 
 from __future__ import annotations
@@ -18,6 +19,8 @@ import json
 import math
 import os
 import sys
+import traceback
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -37,6 +40,16 @@ CONSTRAINT_TOL = 1e-12
 
 class ConfigError(Exception):
     pass
+
+
+@contextmanager
+def _config_values():
+    """Report a value of the user's config that the library rejects while the
+    config is expanded (numbers, SimConfig fields) as a config error."""
+    try:
+        yield
+    except (TypeError, ValueError) as e:
+        raise ConfigError(str(e)) from e
 
 
 # ---------------------------------------------------------------------------
@@ -212,41 +225,45 @@ def cmd_index_table(cfg: dict, out_dir: str, command="index-table") -> int:
     return 0
 
 
-def _sim_configs(mix, exp, command, starts_key=False, zeta=None):
-    """Expand an experiment spec into SimConfig lists plus row labels."""
-    n_list = [int(n) for n in _as_list(_need(exp, "n_users", command))]
-    seeds = [int(s) for s in _need(exp, "seeds", command)]
-    engine = exp.get("engine", "pooled")
-    if starts_key:
-        starts = _as_list(exp.get("starts", ["x"]))
-    else:
-        starts = [exp.get("initial_state", "x")]
-    out = []
-    for n in n_list:
-        for start in starts:
-            init = _resolve_start(start, mix, n, zeta)
-            label = start if isinstance(start, str) else "explicit"
-            for seed in seeds:
-                out.append((n, label, seed, init))
-    return out, n_list, starts, seeds, engine
+def _sim_configs(mix, exp, command, starts_key=False, zeta=None, **fields):
+    """Expand an experiment spec into SimConfigs, one per (N, start, seed) in
+    that order, with the start label of each; fields are the SimConfig fields
+    the command sets itself.  A value the library rejects is a config error."""
+    with _config_values():
+        n_list = [int(n) for n in _as_list(_need(exp, "n_users", command))]
+        seeds = [int(s) for s in _need(exp, "seeds", command)]
+        engine = exp.get("engine", "pooled")
+        if starts_key:
+            starts = _as_list(exp.get("starts", ["x"]))
+        else:
+            starts = [exp.get("initial_state", "x")]
+        configs, labels = [], []
+        for n in n_list:
+            for start in starts:
+                init = _resolve_start(start, mix, n, zeta)
+                label = start if isinstance(start, str) else "explicit"
+                for seed in seeds:
+                    configs.append(SimConfig(mix=mix, n_users=n, seed=seed, initial_state=init,
+                                             engine=engine, **fields))
+                    labels.append(label)
+    return configs, labels, n_list, seeds, engine
 
 
 def cmd_simulate(cfg: dict, out_dir: str, command="simulate") -> int:
     mix = parse_mix(cfg["mix"])
     exp = cfg["experiment"]
     table = build_index_table(mix)
-    solution = solve_relaxed(mix, table)
     policy = exp.get("policy", "whittle")
-    horizon = int(_need(exp, "horizon", command))
-    burn_in = exp.get("burn_in")
+    if policy == "relaxed":
+        solution = _solution_or_config_error(mix, table)
+    else:
+        solution = solve_relaxed(mix, table)
+    with _config_values():
+        horizon = int(_need(exp, "horizon", command))
     zeta = None if solution.degenerate else solution.zeta
-    combos, *_ , seeds, engine = _sim_configs(mix, exp, command, zeta=zeta)
-    configs = [
-        SimConfig(mix=mix, n_users=n, horizon=horizon, seed=seed, policy=policy,
-                  initial_state=init, engine=engine, burn_in=burn_in)
-        for (n, _, seed, init) in combos
-    ]
-    results = run_many(run_throughput, configs, table, solution if policy == "relaxed" or not solution.degenerate else None)
+    configs, _, _, seeds, engine = _sim_configs(mix, exp, command, zeta=zeta, horizon=horizon,
+                                                policy=policy, burn_in=exp.get("burn_in"))
+    results = run_many(run_throughput, configs, table, solution)
     bound = None if solution.degenerate else solution.throughput_per_user
     h = config_hash(cfg, command)
     rows = [
@@ -274,34 +291,28 @@ def cmd_hitting_time(cfg: dict, out_dir: str, command="hitting-time") -> int:
     exp = cfg["experiment"]
     table = build_index_table(mix)
     solution = _solution_or_config_error(mix, table)
-    eps = float(_need(exp, "epsilon", command))
-    max_slots = int(exp.get("max_slots", 100000))
-    combos, *_rest, seeds, engine = _sim_configs(mix, exp, command, starts_key=True,
-                                                 zeta=solution.zeta)
-    configs = [
-        SimConfig(mix=mix, n_users=n, horizon=max_slots, seed=seed,
-                  initial_state=init, engine=engine)
-        for (n, _, seed, init) in combos
-    ]
+    with _config_values():
+        eps = float(_need(exp, "epsilon", command))
+        max_slots = int(exp.get("max_slots", 100000))
+    configs, labels, n_list, seeds, _ = _sim_configs(mix, exp, command, starts_key=True,
+                                                     zeta=solution.zeta, horizon=max_slots)
     hits = run_many(hitting_time, configs, eps, solution.zeta, max_slots, table, solution)
     h = config_hash(cfg, command)
-    rows = [
-        [n, label, eps, seed, hit]
-        for (n, label, seed, _), hit in zip(combos, hits)
-    ]
+    rows = [[c.n_users, label, eps, c.seed, hit]
+            for c, label, hit in zip(configs, labels, hits)]
     write_csv(os.path.join(out_dir, "hitting_times.csv"), _provenance(h, seeds),
               ["n_users", "start", "epsilon", "seed", "hit_slot"], rows)
     # aggregated shape: one row per (N, start)
     agg_rows = []
-    for n in sorted({c[0] for c in combos}):
-        for label in dict.fromkeys(c[1] for c in combos):
-            vals = [hit for (cn, cl, _, _), hit in zip(combos, hits)
-                    if cn == n and cl == label and hit is not None]
-            total = sum(1 for (cn, cl, _, _) in combos if cn == n and cl == label)
+    for n in sorted(set(n_list)):
+        for label in dict.fromkeys(labels):
+            cell = [hit for c, cl, hit in zip(configs, labels, hits)
+                    if c.n_users == n and cl == label]
+            vals = [float(hit) for hit in cell if hit is not None]
             if not vals:
                 continue
-            mean, se = _mean_se([float(v) for v in vals])
-            agg_rows.append([n, label, mean, se, len(vals), total - len(vals), eps])
+            mean, se = _mean_se(vals)
+            agg_rows.append([n, label, mean, se, len(vals), len(cell) - len(vals), eps])
     write_csv(os.path.join(out_dir, "hitting_summary.csv"), _provenance(h, seeds),
               ["n_users", "start", "mean", "se", "seeds", "misses", "epsilon"], agg_rows)
     return 0
@@ -312,20 +323,16 @@ def cmd_occupancy(cfg: dict, out_dir: str, command="occupancy") -> int:
     exp = cfg["experiment"]
     table = build_index_table(mix)
     solution = _solution_or_config_error(mix, table)
-    eps = float(_need(exp, "epsilon", command))
-    horizon = int(_need(exp, "horizon", command))
-    burn_in = exp.get("burn_in")
-    combos, *_rest, seeds, engine = _sim_configs(mix, exp, command, starts_key=True,
-                                                 zeta=solution.zeta)
-    configs = [
-        SimConfig(mix=mix, n_users=n, horizon=horizon, seed=seed,
-                  initial_state=init, engine=engine, burn_in=burn_in)
-        for (n, _, seed, init) in combos
-    ]
+    with _config_values():
+        eps = float(_need(exp, "epsilon", command))
+        horizon = int(_need(exp, "horizon", command))
+    configs, labels, _, seeds, _ = _sim_configs(mix, exp, command, starts_key=True,
+                                                zeta=solution.zeta, horizon=horizon,
+                                                burn_in=exp.get("burn_in"))
     occs = run_many(occupancy, configs, eps, solution.zeta, table, solution)
     h = config_hash(cfg, command)
-    rows = [[n, label, eps, seed, occ]
-            for (n, label, seed, _), occ in zip(combos, occs)]
+    rows = [[c.n_users, label, eps, c.seed, occ]
+            for c, label, occ in zip(configs, labels, occs)]
     write_csv(os.path.join(out_dir, "occupancy.csv"), _provenance(h, seeds),
               ["n_users", "start", "epsilon", "seed", "occupancy"], rows)
     return 0
@@ -336,18 +343,14 @@ def cmd_deviation(cfg: dict, out_dir: str, command="deviation") -> int:
     exp = cfg["experiment"]
     table = build_index_table(mix)
     solution = _solution_or_config_error(mix, table)
-    steps = int(_need(exp, "steps", command))
-    combos, *_rest, seeds, engine = _sim_configs(mix, exp, command, starts_key=True,
-                                                 zeta=solution.zeta)
-    configs = [
-        SimConfig(mix=mix, n_users=n, horizon=steps, seed=seed,
-                  initial_state=init, engine=engine)
-        for (n, _, seed, init) in combos
-    ]
+    with _config_values():
+        steps = int(_need(exp, "steps", command))
+    configs, labels, _, seeds, _ = _sim_configs(mix, exp, command, starts_key=True,
+                                                zeta=solution.zeta, horizon=steps)
     sups = run_many(trajectory_deviation, configs, steps, table, solution)
     h = config_hash(cfg, command)
-    rows = [[n, label, steps, seed, sup]
-            for (n, label, seed, _), sup in zip(combos, sups)]
+    rows = [[c.n_users, label, steps, c.seed, sup]
+            for c, label, sup in zip(configs, labels, sups)]
     write_csv(os.path.join(out_dir, "deviation.csv"), _provenance(h, seeds),
               ["n_users", "start", "steps", "seed", "sup_deviation"], rows)
     return 0
@@ -365,15 +368,11 @@ def cmd_sweep(cfg: dict, out_dir: str, command="sweep") -> int:
     mix = parse_mix(cfg["mix"])
     table = build_index_table(mix)
     solution = _solution_or_config_error(mix, table)
-    policy = exp.get("policy", "whittle")
-    horizon = int(_need(exp, "horizon", command))
-    combos, n_list, _starts, seeds, engine = _sim_configs(mix, exp, command,
-                                                          zeta=solution.zeta)
-    configs = [
-        SimConfig(mix=mix, n_users=n, horizon=horizon, seed=seed, policy=policy,
-                  initial_state=init, engine=engine)
-        for (n, _, seed, init) in combos
-    ]
+    with _config_values():
+        horizon = int(_need(exp, "horizon", command))
+    configs, _, n_list, seeds, _ = _sim_configs(mix, exp, command, zeta=solution.zeta,
+                                                horizon=horizon,
+                                                policy=exp.get("policy", "whittle"))
     results = run_many(run_throughput, configs, table, solution)
     h = config_hash(cfg, command)
     bound = solution.throughput_per_user
@@ -440,12 +439,12 @@ def cmd_pipeline(cfg: dict, out_dir: str, command="pipeline") -> int:
                            "sits on the region boundary, linearization unavailable",
             }
         if exp.get("with_simulation"):
-            horizon = int(exp.get("horizon", 20000))
-            n_users = int(exp.get("n_users", 10000))
-            seeds = [int(s) for s in exp.get("seeds", list(range(1, 11)))]
-            engine = exp.get("engine", "pooled")
-            configs = [SimConfig(mix=mix, n_users=n_users, horizon=horizon,
-                                 seed=s, engine=engine) for s in seeds]
+            with _config_values():
+                horizon = int(exp.get("horizon", 20000))
+                n_users = int(exp.get("n_users", 10000))
+                seeds = [int(s) for s in exp.get("seeds", list(range(1, 11)))]
+                configs = [SimConfig(mix=mix, n_users=n_users, horizon=horizon, seed=s,
+                                     engine=exp.get("engine", "pooled")) for s in seeds]
             results = run_many(run_throughput, configs, table, solution)
             vals = [r["belief_throughput"] for r in results]
             mean, se = _mean_se(vals)
@@ -520,9 +519,11 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    except ValueError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return 2
+    except Exception as e:  # a fault of the library, not of the config
+        where = traceback.extract_tb(e.__traceback__)[-1]
+        print(f"error: {type(e).__name__}: {e} ({os.path.basename(where.filename)}:"
+              f"{where.lineno} in {where.name})", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

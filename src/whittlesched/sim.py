@@ -12,8 +12,9 @@ Two engines, two laws:
   ON observations of the scheduled users, one binomial per scheduled state in
   ascending layout order; that sequence of draws is the random stream a seed
   names.  Idle users age deterministically and observed users reset to
-  OnAge(1) or OffAge(1).  A slot costs O(states) instead of O(N), which is
-  what makes N = 1e5 over 1e5 slots tractable.
+  OnAge(1) or OffAge(1).  A slot runs on a list of int counts, its cut walks
+  only the occupied states, and its cost does not grow with N, which is what
+  makes N = 1e5 over 1e5 slots tractable.
 * ``users``: the physical reference, one record per user (class, true channel
   bit, belief state); each slot draws the channel transitions first, then the
   scheduling tie-break.  It differs from the pooled law only for users in the
@@ -21,19 +22,25 @@ Two engines, two laws:
   stationary one.
 
 Scheduling picks the ``floor(alpha*N)`` highest-index users with a seeded
-uniform tie-break on the boundary rung.  Runs of either engine are
-reproducible bit-for-bit given (config, seed).
+uniform tie-break on the boundary rung.  Past burn-in, both engines tally the
+users served in each state as an int M_i; the belief throughput is
+sum_i b_i M_i, formed once with ``math.fsum``, so it does not depend on the
+order of the slots or on the machine.  Runs of either engine are reproducible
+bit-for-bit given (config, seed).
 """
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
+from itertools import compress
+from operator import itemgetter, mul
 
 import numpy as np
 
 from .belief import ClassMix
-from .fluid import FluidModel, fluid_trajectory
+from .fluid import MASS_TOL, FluidModel, fluid_trajectory
 from .relaxed import RelaxedSolution, solve_relaxed
 from .whittle import IndexTable, build_index_table
 
@@ -60,11 +67,23 @@ class SimConfig:
             raise ValueError(f"unknown engine {self.engine!r}")
         if self.n_users < 1 or self.horizon < 1:
             raise ValueError("n_users and horizon must be positive")
+        if self.burn_in is not None and not 0 <= self.burn_in < self.horizon:
+            raise ValueError(f"burn_in must lie in [0, horizon = {self.horizon}), "
+                             f"got {self.burn_in}")
         if isinstance(self.initial_state, str):
             if self.initial_state not in INITIAL_STATES:
                 raise ValueError(f"unknown initial state {self.initial_state!r}")
         else:
             z = np.asarray(self.initial_state, dtype=float)
+            block = 2 * self.mix.tau + 1
+            if z.shape != (self.mix.n_classes * block,) or z.min() < 0.0:
+                raise ValueError("explicit initial state must hold "
+                                 f"{self.mix.n_classes * block} nonnegative entries")
+            for k, g in enumerate(self.mix.gamma):
+                mass = z[k * block:(k + 1) * block].sum()
+                if abs(mass - g) > MASS_TOL:
+                    raise ValueError(f"explicit initial state puts mass {mass} on class {k}, "
+                                     f"not gamma_{k} = {g}")
             counts = z * self.n_users
             if np.abs(counts - np.round(counts)).max() > 1e-6:
                 raise ValueError("explicit initial state must sit on the 1/N lattice")
@@ -136,12 +155,14 @@ class _EngineBase:
                     self.act_prob[rung_pos] = solution.rho_star
         else:
             self.solution = solution
-        # accumulators past burn-in
+        # the ladder in order: one (position, rung) per state
+        self._rungs = [pos.tolist() for _, pos in self.model.rungs]
+        self._ladder = [(i, j) for j, pos in enumerate(self._rungs) for i in pos]
+        self._in_ladder_order = itemgetter(*self.model._rung_order.tolist())
+        # past burn-in: users served in each state (M_i) and ON observations
         self.t = 0
-        self.belief_reward = 0.0
-        self.realized_reward = 0.0
-        self.activation = 0
-        self.tallied_slots = 0
+        self.served = [0] * self.model.dim
+        self.realized = 0
 
     def _initial_counts(self) -> np.ndarray:
         cfg = self.config
@@ -159,104 +180,130 @@ class _EngineBase:
             counts = np.round(z * self.n).astype(np.int64)
         return counts
 
-    def _tally(self, scheduled_belief_mass: float, realized: int, m_total: int):
-        if self.t >= self.config.effective_burn_in:
-            self.belief_reward += scheduled_belief_mass
-            self.realized_reward += realized
-            self.activation += m_total
-            self.tallied_slots += 1
+    def _start_slot(self):
+        """Clear the tallies when the burn-in ends."""
+        if self.t == self.config.effective_burn_in:
+            self.served = [0] * self.model.dim
+            self.realized = 0
         self.t += 1
 
     def rates(self) -> dict:
-        """Per-user per-slot averages past burn-in."""
-        denom = max(self.tallied_slots, 1) * self.n
+        """Per-user per-slot averages past burn-in, from the tallies."""
+        slots = max(self.t - self.config.effective_burn_in, 0)
+        denom = max(slots, 1) * self.n
+        served = np.asarray(self.served, dtype=np.int64).tolist()
+        belief = math.fsum(map(mul, self.model.beliefs.tolist(), served))
         return {
-            "belief_throughput": self.belief_reward / denom,
-            "realized_throughput": self.realized_reward / denom,
-            "activation": self.activation / denom,
-            "slots": self.tallied_slots,
+            "belief_throughput": belief / denom,
+            "realized_throughput": self.realized / denom,
+            "activation": sum(served) / denom,
+            "slots": slots,
         }
 
-    def _whittle_cut(self, counts: np.ndarray) -> tuple[int, int]:
-        """Walk the ladder until the budget is spent: returns (j, need), where
-        the first j rungs are scheduled in full and need more users come from
-        rung j.  need is 0 when a rung fits exactly or everyone is scheduled."""
-        model = self.model
-        rung_tot = np.add.reduceat(counts[model._rung_order], model._rung_starts).tolist()
+    def _cut(self, c: list) -> tuple[list, int, int]:
+        """Walk the occupied states in ladder order, rung by rung, until the
+        budget is spent.  Returns (full, j, need): the (position, count) pairs
+        of the first j rungs, scheduled in full, and need more users to come
+        from rung j.  need is 0 when a rung fits the budget exactly."""
         left = self.k_slots
-        for j, tot in enumerate(rung_tot):
-            if tot >= left:
-                return (j + 1, 0) if tot == left else (j, left)
-            left -= tot
-        return len(rung_tot), 0
+        full = []
+        j = -1
+        tot = first = 0
+        for i, r in compress(self._ladder, self._in_ladder_order(c)):
+            if r != j:  # rung j is summed; rung r starts
+                if tot >= left:
+                    break
+                left -= tot
+                j, tot, first = r, 0, len(full)
+            ci = c[i]
+            tot += ci
+            full.append((i, ci))
+        if tot > left:
+            return full[:first], j, left
+        return full, j + 1, 0
 
 
 class PooledEngine(_EngineBase):
-    """Counts per (class, belief state); channel bits are drawn only when
-    their users are observed."""
+    """Counts per (class, belief state), as a list of ints; channel bits are
+    drawn only when their users are observed."""
 
     def __init__(self, config, table=None, solution=None):
         super().__init__(config, table, solution)
         self.counts = self._initial_counts()
         model = self.model
-        # row j is 1 on the positions of the first j rungs
-        cuts = np.arange(len(model.rungs) + 1)[:, None]
-        self.above = (model._rung_of < cuts).astype(np.int64)
-        self.n_classes = self.mix.n_classes
+        self.beliefs = model.beliefs.tolist()
         self.class_of = (np.arange(model.dim) // model.block).tolist()
-        # one state's move targets (the model grows the array for batches)
-        self.moves_to = model._moves_to[: model.dim + 2 * self.n_classes]
+        # per class block [lo, hi): st is OffAge(tau), and its idle users age
+        # into the stationary state st + 1 with those of st + 1 and OnAge(tau)
+        tau = self.mix.tau
+        self.blocks = [(lo, lo + tau - 1, lo + model.block) for lo in model.off1.tolist()]
         if config.policy == "relaxed":
-            self.act_full = (self.act_prob == 1.0).astype(np.int64)
+            self.act_full = np.flatnonzero(self.act_prob == 1.0).tolist()
             rand = np.flatnonzero((self.act_prob > 0.0) & (self.act_prob < 1.0))
             self.act_rand = list(zip(rand.tolist(), self.act_prob[rand].tolist()))
+
+    @property
+    def counts(self) -> np.ndarray:
+        return np.array(self._c, dtype=np.int64)
+
+    @counts.setter
+    def counts(self, value):
+        self._c = np.asarray(value, dtype=np.int64).tolist()
 
     def empirical_state(self) -> np.ndarray:
         return self.counts / self.n
 
-    def _schedule_whittle(self, counts: np.ndarray) -> np.ndarray:
-        j, need = self._whittle_cut(counts)
-        m = counts * self.above[j]
+    def _schedule_whittle(self, c: list) -> list:
+        sched, j, need = self._cut(c)
         if need:
-            rung = self.model.rungs[j][1]
-            if rung.size == 1:
-                m[rung[0]] = need
+            rung = self._rungs[j]
+            if len(rung) == 1:
+                sched.append((rung[0], need))
             else:
                 # uniform random subset of the boundary rung's users
-                m[rung] = self.rng.multivariate_hypergeometric(counts[rung], need)
-        return m
+                draw = self.rng.multivariate_hypergeometric([c[i] for i in rung], need)
+                sched += [(i, mi) for i, mi in zip(rung, draw.tolist()) if mi]
+        return sched
 
-    def _schedule_relaxed(self, counts: np.ndarray) -> np.ndarray:
+    def _schedule_relaxed(self, c: list) -> list:
         # independent Bernoulli(act_prob) per user
-        m = counts * self.act_full
-        for i, a in self.act_rand:
-            m[i] = self.rng.binomial(int(counts[i]), a)
-        return m
+        binomial = self.rng.binomial
+        drawn = [(i, binomial(c[i], a)) for i, a in self.act_rand]
+        return [(i, c[i]) for i in self.act_full if c[i]] + [s for s in drawn if s[1]]
 
     def step(self):
-        counts = self.counts
+        """One slot: the tie-break, then the ON observations of the scheduled
+        (state, count) pairs in ascending layout order, then aging."""
+        self._start_slot()
+        c = self._c
         if self.config.policy == "whittle":
-            m = self._schedule_whittle(counts)
+            sched = self._schedule_whittle(c)
         else:
-            m = self._schedule_relaxed(counts)
-        # observations, one draw per scheduled state in layout order: the
-        # scheduled users of a state are ON iid w.p. its belief
-        sel = m.nonzero()[0]
-        m_sel = m[sel]
-        b_sel = self.model.beliefs[sel]
-        on = [0] * self.n_classes
-        served = [0] * self.n_classes
+            sched = self._schedule_relaxed(c)
+        # the scheduled users of a state are ON iid w.p. its belief; one draw
+        # per state, in ascending layout order
+        sched.sort()
         binomial = self.rng.binomial
-        for i, mi, bi in zip(sel.tolist(), m_sel.tolist(), b_sel.tolist()):
-            k = self.class_of[i]
-            on[k] += binomial(mi, bi)
-            served[k] += mi
-        # idle users age; observed users reset to OnAge(1) / OffAge(1)
-        off = [s - o for s, o in zip(served, on)]
-        moved = np.concatenate((counts - m, on, off))
-        self.counts = np.bincount(self.moves_to, weights=moved,
-                                  minlength=self.model.dim).astype(np.int64)
-        self._tally(float(m_sel @ b_sel), sum(on), sum(served))
+        beliefs = self.beliefs
+        class_of = self.class_of
+        served = self.served
+        on = [0] * len(self.blocks)
+        off = on[:]
+        for i, mi in sched:
+            o = binomial(mi, beliefs[i])
+            k = class_of[i]
+            on[k] += o
+            off[k] += mi - o
+            c[i] -= mi
+            served[i] += mi
+        self.realized += sum(on)
+        # idle users age one state; observed users reset to OffAge(1) or
+        # OnAge(1), the first and last state of their class block
+        new = []
+        for k, (lo, st, hi) in enumerate(self.blocks):
+            new += [off[k], *c[lo:st], c[st] + c[st + 1] + c[st + 2], *c[st + 3:hi],
+                    on[k]]
+        self._c = new
 
 
 class UserEngine(_EngineBase):
@@ -280,7 +327,7 @@ class UserEngine(_EngineBase):
 
     def _schedule_whittle(self) -> np.ndarray:
         counts = np.bincount(self.state, minlength=self.model.dim)
-        j, need = self._whittle_cut(counts)
+        _, j, need = self._cut(counts.tolist())
         rung = self.model._rung_of[self.state]
         sel = rung < j
         if need > 0:
@@ -294,20 +341,20 @@ class UserEngine(_EngineBase):
         return u < self.act_prob[self.state]
 
     def step(self):
+        self._start_slot()
         u = self.rng.random(self.n)  # channel transition draws, by user id
         if self.config.policy == "whittle":
             sel = self._schedule_whittle()
         else:
             sel = self._schedule_relaxed()
-        belief_mass = float(self.model.beliefs[self.state[sel]].sum())
-        realized = int(self.bits[sel].sum())
-        m_total = int(sel.sum())
+        self.served = np.add(self.served,
+                             np.bincount(self.state[sel], minlength=self.model.dim))
+        self.realized += int(self.bits[sel].sum())
         # observation resets scheduled users; everyone else ages
         new_state = self.model.age_to[self.state]
         new_state[sel] = np.where(self.bits[sel], self.on1_user[sel], self.off1_user[sel])
         self.state = new_state
         self.bits = u < np.where(self.bits, self.p_user, self.r_user)
-        self._tally(belief_mass, realized, m_total)
 
 
 def make_engine(config: SimConfig, table: IndexTable | None = None,

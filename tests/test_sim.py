@@ -1,6 +1,7 @@
 """Finite-population simulator tests: configuration checks, determinism,
 engine-law agreement, scheduling budget, and the trajectory experiments."""
 
+import math
 import os
 import subprocess
 import sys
@@ -50,6 +51,12 @@ def test_config_rejects_bad_inputs(single_mix):
         _sim(single_mix, 0, 10, 0)
     with pytest.raises(ValueError, match="initial state"):
         _sim(single_mix, 100, 10, 0, initial_state="warm")
+    block = 2 * single_mix.tau + 1
+    for z in ([1.0] + [0.0] * (block - 2),          # one entry short
+              [1.05, -0.05] + [0.0] * (block - 2),  # negative mass
+              [0.9] + [0.0] * (block - 1)):         # class mass below gamma
+        with pytest.raises(ValueError, match="explicit initial state"):
+            _sim(single_mix, 100, 10, 0, initial_state=tuple(z))
     with pytest.raises(ValueError, match="lattice"):
         z = np.zeros(2 * single_mix.tau + 1)
         z[0] = 1.0 - 0.3 / 100
@@ -57,6 +64,9 @@ def test_config_rejects_bad_inputs(single_mix):
         _sim(single_mix, 30, 10, 0, initial_state=tuple(z))
     with pytest.raises(ValueError, match="alpha"):
         _sim(single_mix, 10, 10, 0)  # alpha * 10 = 7.5
+    for burn_in in (-5, 50, 80):
+        with pytest.raises(ValueError, match="burn_in"):
+            _sim(single_mix, 100, 50, 0, burn_in=burn_in)
 
 
 def test_config_rejects_fractional_class_counts(two_mix):
@@ -133,47 +143,67 @@ def test_runs_are_reproducible_bit_for_bit(single_mix, single_table,
     assert np.array_equal(z1, z2)
 
 
-# rates() after 200 slots at seed 7, recorded with the array-draw engine that
-# preceded the per-state draws: (mix, policy, N, start, engine, belief
-# throughput, realized throughput, activation).  Exact equality pins the
-# random stream: the tie-break first, then one ON draw per scheduled state in
-# ascending layout order.
+# rates() and the counts after 200 slots at seed 7: (mix, policy, N, start,
+# engine, belief throughput, realized throughput, activation, nonzero counts
+# by position).  The realized throughputs, activations and counts were
+# recorded with the array-draw engine that preceded the per-state draws, and
+# exact equality pins the random stream: the tie-break first, then one ON draw
+# per scheduled state in ascending layout order.  The belief throughputs are
+# fsum(b_i M_i) / (slots N) over the int tally M of users served per state.
 PINNED_RATES = [
     ("single", "whittle", 1000, "all_off_observed", "pooled",
-     0.4499133333333332, 0.4499666666666667, 0.75),
+     0.4499133333333334, 0.4499666666666667, 0.75, {0: 280, 1: 250, 32: 470}),
     ("single", "whittle", 100000, "all_off_observed", "pooled",
-     0.45004866666666704, 0.45007366666666665, 0.75),
+     0.4500486666666667, 0.45007366666666665, 0.75, {0: 29955, 1: 25000, 32: 45045}),
     ("single", "relaxed", 1000, "all_off_observed", "pooled",
-     0.4470617777777777, 0.44538333333333335, 0.7480722222222222),
+     0.44706177777777784, 0.44538333333333335, 0.7480722222222222,
+     {0: 294, 1: 244, 32: 462}),
     ("single", "relaxed", 100000, "all_off_observed", "pooled",
-     0.4500151555555553, 0.450032, 0.7499809444444444),
+     0.45001515555555566, 0.450032, 0.7499809444444444, {0: 29909, 1: 25000, 32: 45091}),
     ("two", "whittle", 1000, "all_off_observed", "pooled",
-     0.4975506715277778, 0.4983666666666667, 0.6),
+     0.4975506715277778, 0.4983666666666667, 0.6,
+     {0: 48, 1: 44, 2: 36, 32: 322, 33: 51, 34: 55, 35: 47, 36: 42, 37: 46, 38: 60,
+      39: 56, 40: 14, 65: 179}),
     ("two", "whittle", 100000, "all_off_observed", "pooled",
-     0.4972045525277776, 0.4971913333333333, 0.6),
+     0.49720455252777773, 0.4971913333333333, 0.6,
+     {0: 4353, 1: 4332, 2: 4370, 32: 31945, 33: 5905, 34: 5937, 35: 5961, 36: 5997,
+      37: 6014, 38: 5852, 39: 1537, 65: 17797}),
     ("two", "relaxed", 1000, "all_off_observed", "pooled",
-     0.49838350208333326, 0.49905555555555553, 0.6012777777777778),
+     0.4983835020833333, 0.49905555555555553, 0.6012777777777778,
+     {0: 44, 1: 38, 2: 41, 32: 327, 33: 50, 34: 56, 35: 60, 36: 54, 37: 66, 38: 72,
+      39: 19, 65: 173}),
     ("two", "relaxed", 100000, "all_off_observed", "pooled",
-     0.49725087168055576, 0.49725694444444446, 0.6000374444444444),
+     0.49725087168055554, 0.49725694444444446, 0.6000374444444444,
+     {0: 4303, 1: 4300, 2: 4328, 32: 32069, 33: 5908, 34: 5901, 35: 5907, 36: 6057,
+      37: 5910, 38: 6030, 39: 1492, 65: 17795}),
     ("two", "whittle", 1000, "all_stationary", "pooled",
-     0.49694052083333334, 0.49630555555555556, 0.6),
+     0.4969405208333334, 0.49630555555555556, 0.6,
+     {0: 39, 1: 47, 2: 44, 32: 320, 33: 59, 34: 67, 35: 71, 36: 65, 37: 69, 38: 37,
+      65: 182}),
     # two identical classes: every boundary rung is tied, so each slot draws
     # the hypergeometric split
     ("twin", "whittle", 1000, "all_off_observed", "pooled",
-     0.43877194444444445, 0.4393444444444444, 0.6),
+     0.43877194444444445, 0.4393444444444444, 0.6,
+     {0: 80, 1: 91, 2: 84, 3: 29, 32: 216, 33: 91, 34: 79, 35: 90, 36: 27, 65: 213}),
     ("two", "whittle", 1000, "all_off_observed", "users",
-     0.4975006861111112, 0.4979777777777778, 0.6),
+     0.49750068611111115, 0.4979777777777778, 0.6,
+     {0: 48, 1: 46, 2: 45, 32: 311, 33: 63, 34: 65, 35: 65, 36: 58, 37: 55, 38: 59,
+      39: 7, 65: 178}),
 ]
 
 
-@pytest.mark.parametrize("mix_name, policy, n_users, start, engine, belief, realized, "
-                         "activation", PINNED_RATES, ids=["-".join(map(str, p[:5]))
-                                                          for p in PINNED_RATES])
-def test_random_stream_is_pinned(single_mix, two_mix, mix_name, policy, n_users, start,
-                                 engine, belief, realized, activation):
+def _pinned_mix(name, single_mix, two_mix):
     twin = ChannelClass(0.8, 0.3)
-    mix = {"single": single_mix, "two": two_mix,
-           "twin": ClassMix((twin, twin), (0.5, 0.5), 0.6)}[mix_name]
+    return {"single": single_mix, "two": two_mix,
+            "twin": ClassMix((twin, twin), (0.5, 0.5), 0.6)}[name]
+
+
+@pytest.mark.parametrize("mix_name, policy, n_users, start, engine, belief, realized, "
+                         "activation, counts", PINNED_RATES,
+                         ids=["-".join(map(str, p[:5])) for p in PINNED_RATES])
+def test_random_stream_is_pinned(single_mix, two_mix, mix_name, policy, n_users, start,
+                                 engine, belief, realized, activation, counts):
+    mix = _pinned_mix(mix_name, single_mix, two_mix)
     cfg = _sim(mix, n_users, 200, seed=7, policy=policy, initial_state=start,
                engine=engine)
     eng = make_engine(cfg)
@@ -181,6 +211,33 @@ def test_random_stream_is_pinned(single_mix, two_mix, mix_name, policy, n_users,
         eng.step()
     assert eng.rates() == {"belief_throughput": belief, "realized_throughput": realized,
                            "activation": activation, "slots": 180}
+    final = np.rint(eng.empirical_state() * n_users).astype(int).tolist()
+    assert {i: c for i, c in enumerate(final) if c} == counts
+
+
+@pytest.mark.parametrize("engine, policy", [("pooled", "whittle"), ("pooled", "relaxed"),
+                                            ("users", "whittle"), ("users", "relaxed")])
+def test_belief_tally_is_exact(two_mix, two_table, two_solution, engine, policy):
+    n_users = 1000
+    cfg = _sim(two_mix, n_users, 300, seed=5, policy=policy, engine=engine)
+    eng = make_engine(cfg, two_table, two_solution)
+    model = eng.model
+    observed = 0  # users observed past burn-in, read off the reset states
+    for t in range(cfg.horizon):
+        eng.step()
+        if t >= cfg.effective_burn_in:
+            z = np.rint(eng.empirical_state() * n_users)
+            observed += int(z[model.on1].sum() + z[model.off1].sum())
+    out = eng.rates()
+    tally = np.asarray(eng.served).tolist()
+    slots = out["slots"]
+    assert slots == cfg.horizon - cfg.effective_burn_in
+    assert all(isinstance(m, int) and m >= 0 for m in tally)
+    assert sum(tally) == observed
+    # the quotient of two ints is correctly rounded, so these are exact
+    assert out["activation"] == sum(tally) / (slots * n_users)
+    belief = math.fsum(b * m for b, m in zip(model.beliefs.tolist(), tally))
+    assert out["belief_throughput"] == belief / (slots * n_users)
 
 
 def test_different_seeds_diverge(single_mix, single_table):
@@ -308,6 +365,14 @@ def _two_class_lattice_point(mix, states, seed):
     return lattice_round(z, mix, ONE_STEP_N)
 
 
+def _scheduled(pairs, dim):
+    """Scheduled count per state from the engine's (state, count) pairs."""
+    m = np.zeros(dim, dtype=np.int64)
+    for i, mi in pairs:
+        m[i] = mi
+    return m
+
+
 def _one_step_variance(model, counts, boundary, need):
     """Exact variance of each coordinate of N Z' after one whittle slot from
     the counts.  The scheduled counts m are deterministic off the boundary
@@ -350,12 +415,12 @@ def test_pooled_one_step_mean_is_the_fluid_map(two_mix, two_table, support,
     z = _two_class_lattice_point(two_mix, states, seed=2024)
     counts = np.rint(z * ONE_STEP_N).astype(np.int64)
     eng = make_engine(_sim(two_mix, ONE_STEP_N, 1, seed=31), two_table)
-    j, need = eng._whittle_cut(counts)
+    _, j, need = eng._cut(counts.tolist())
     boundary = model.rungs[j][1]
     assert boundary.size == boundary_size and need > 0
     if boundary_size == 1:
         # no draw: the scheduled counts are the fluid's served mass exactly
-        m = eng._schedule_whittle(counts)
+        m = _scheduled(eng._schedule_whittle(counts.tolist()), model.dim)
         assert np.abs(m - model.activation_profile(z) * counts).max() < 1e-9
         assert m.sum() == eng.k_slots
 
@@ -394,7 +459,7 @@ def test_pooled_relaxed_activation_mean(two_mix, two_table, two_solution):
     assert np.any((a > 0.0) & (a < 1.0))
     total = np.zeros(model.dim)
     for _ in range(ONE_STEP_DRAWS):
-        m = eng._schedule_relaxed(counts)
+        m = _scheduled(eng._schedule_relaxed(counts.tolist()), model.dim)
         assert np.all((0 <= m) & (m <= counts))
         total += m
     mean = total / ONE_STEP_DRAWS
