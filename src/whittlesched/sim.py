@@ -181,7 +181,7 @@ class _EngineBase:
         return counts
 
     def _start_slot(self):
-        """Clear the tallies when the burn-in ends."""
+        """Count the slot; the tallies restart when the burn-in ends."""
         if self.t == self.config.effective_burn_in:
             self.served = [0] * self.model.dim
             self.realized = 0
