@@ -127,6 +127,7 @@ def step_feedback(observed_on: bool) -> BeliefState:
     return on_age(1) if observed_on else off_age(1)
 
 
+@lru_cache(maxsize=None)
 def lattice_states(tau: int) -> tuple[BeliefState, ...]:
     """All 2*tau + 1 lattice points in canonical layout order: OFF ages
     ascending, then stationary, then ON ages descending (so belief is

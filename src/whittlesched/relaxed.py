@@ -11,6 +11,7 @@ for the randomization weight rho on the bracketing rung.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cache
 
 import numpy as np
 
@@ -20,13 +21,11 @@ from .belief import (
     ClassMix,
     belief_value,
     lattice_position,
-    lattice_states,
     off_age,
     on_age,
 )
-from .whittle import TIE_TOL, IndexTable, build_index_table, stationary_index, whittle_index
+from .whittle import TIE_TOL, IndexTable, build_index_table, stationary_index
 
-RHO_BISECT_TOL = 1e-13
 # slack for "activation exactly meets alpha at rho = 1" and budget comparisons
 EQ_TOL = 1e-14
 
@@ -132,94 +131,115 @@ class RelaxedSolution:
     zeta: np.ndarray | None = field(default=None, repr=False)
 
 
-def _class_activation(cls: ChannelClass, omega: float, rho: float,
-                      off_values: np.ndarray) -> tuple[float, int | None, bool]:
-    """Activation of one class for subsidy level omega, randomizing with rho on
-    the rung valued exactly omega if this class attains it.
+def _rung_ages(off_values: np.ndarray, omegas: np.ndarray) -> tuple[list, list]:
+    """Threshold of one class at every rung of the ladder: the first OFF age
+    whose index is within TIE_TOL of the rung (the class attains the rung),
+    else the first age above it, else 0 (the class never schedules).
 
-    Returns (activation, threshold_age, attains_rung).
+    Returns (ages, attains), one entry per rung.
     """
-    tau = cls.tau
-    # OFF age whose index ties the rung (at ladder tolerance)
-    att = None
-    for l in range(1, tau + 1):
-        if abs(off_values[l - 1] - omega) <= TIE_TOL:
-            att = l
-            break
-    if att is not None:
-        return activation_fraction(cls, att, rho), att, True
-    above = np.nonzero(off_values > omega)[0]
-    if above.size:
-        L = int(above[0]) + 1
-        return activation_fraction(cls, L, 1.0), L, False
-    return 0.0, None, False
+    tie = np.abs(off_values - omegas[:, None]) <= TIE_TOL
+    above = off_values > omegas[:, None]
+    attains = tie.any(axis=1)
+    ages = np.where(attains, tie.argmax(axis=1), above.argmax(axis=1)) + 1
+    ages[~(attains | above.any(axis=1))] = 0
+    return ages.tolist(), attains.tolist()
+
+
+def _rho_for_activation(cls: ChannelClass, h: int, target: float) -> float:
+    """The rho at which activation_fraction(cls, h, rho) equals target: the
+    activation is linear-fractional in rho, so this is one linear equation."""
+    p = cls.p
+    b_h = belief_value(cls, off_age(h))
+    b_next = belief_value(cls, off_age(h + 1))
+    t = 1.0 - target
+    return ((t * (b_next + (1.0 - p) * (h + 1)) - (1.0 - p) * h)
+            / (t * (1.0 - p) - (1.0 - p) - t * (b_h - b_next)))
 
 
 def solve_relaxed(mix: ClassMix, table: IndexTable | None = None) -> RelaxedSolution:
-    """Walk the merged index ladder to the rung where total activation crosses
-    alpha, then bisect the randomization weight on that rung."""
+    """Walk the merged index ladder down to the rung where total activation
+    reaches alpha, then solve for the randomization weight on that rung.
+
+    Each class's threshold at every rung comes from one comparison of its OFF
+    indices with the rung values, and each (class, threshold) activation is
+    evaluated once.  On the crossing rung the attaining classes randomize with
+    one weight rho*; their activation is linear-fractional in rho, so rho*
+    has a closed form.  Attaining classes with the same (p, r, threshold)
+    pool their fractions.  Distinct classes tied on the crossing rung could
+    split the budget between them in many ways, so that solution is
+    degenerate.
+    """
     if table is None:
         table = build_index_table(mix)
     tau = mix.tau
-    off_vals = [
-        np.array([table.value(k, off_age(l)) for l in range(1, tau + 1)])
-        for k in range(mix.n_classes)
-    ]
+    block = 2 * tau + 1
+    omegas = np.array([rung.value for rung in table.ladder])
+    ages, attains = zip(*(_rung_ages(table.values[k * block: k * block + tau], omegas)
+                          for k in range(mix.n_classes)))
 
-    def total_activation(omega: float, rho: float) -> float:
-        return sum(
-            g * _class_activation(c, omega, rho, ov)[0]
-            for c, g, ov in zip(mix.classes, mix.gamma, off_vals)
-        )
+    @cache
+    def full(k: int, h: int) -> float:
+        # activation of class k scheduling OFF ages >= h (none when h is 0)
+        return activation_fraction(mix.classes[k], h, 1.0) if h else 0.0
 
     warnings: list[str] = []
-    crossing = None
     prev_f1 = 0.0
-    for rung in table.ladder:
-        f1 = total_activation(rung.value, 1.0)
+    for i, rung in enumerate(table.ladder):
+        f1 = sum(g * full(k, ages[k][i]) for k, g in enumerate(mix.gamma))
         if f1 >= mix.alpha - EQ_TOL:
-            f0 = total_activation(rung.value, 0.0)
-            if f0 > mix.alpha + EQ_TOL:
-                # jump across the truncation gap: the needed threshold lies
-                # beyond the lattice depth
-                return _degenerate(
-                    mix, table, rung.value,
-                    reason="threshold beyond truncation depth: activation jumps from "
-                           f"{prev_f1:.6g} to {f0:.6g} across rung {rung.value:.6g} "
-                           f"while alpha={mix.alpha}",
-                )
-            crossing = (rung, f0, f1)
             break
         prev_f1 = f1
-    if crossing is None:
+    else:
         # not even full activation of everything below reaches alpha
         return _degenerate(
             mix, table, table.ladder[-1].value,
             reason=f"total activation saturates at {prev_f1:.6g} < alpha={mix.alpha}",
         )
-
-    rung, f0, f1 = crossing
     omega_star = rung.value
+    h_of = [ages[k][i] for k in range(mix.n_classes)]
+    att = [k for k in range(mix.n_classes) if attains[k][i]]
+    f0 = sum(g * (activation_fraction(mix.classes[k], h_of[k], 0.0) if k in att
+                  else full(k, h_of[k]))
+             for k, g in enumerate(mix.gamma))
+    if f0 > mix.alpha + EQ_TOL:
+        # jump across the truncation gap: the needed threshold lies beyond
+        # the lattice depth
+        return _degenerate(
+            mix, table, omega_star,
+            reason="threshold beyond truncation depth: activation jumps from "
+                   f"{prev_f1:.6g} to {f0:.6g} across rung {omega_star:.6g} "
+                   f"while alpha={mix.alpha}",
+        )
+
     if f1 <= mix.alpha + EQ_TOL:
         rho_star = 1.0
         warnings.append("activation meets alpha exactly at rho = 1")
+    elif len({(mix.classes[k].p, mix.classes[k].r, h_of[k]) for k in att}) > 1:
+        return _degenerate(
+            mix, table, omega_star,
+            reason=f"crossing rung {omega_star:.6g} is tied across distinct classes "
+                   f"{att}: the split of the budget between them is not unique",
+        )
     else:
-        lo, hi = 0.0, 1.0  # F(omega*, rho) - alpha changes sign on (0, 1]
-        while hi - lo > RHO_BISECT_TOL:
-            mid = 0.5 * (lo + hi)
-            if total_activation(omega_star, mid) < mix.alpha:
-                lo = mid
-            else:
-                hi = mid
-        rho_star = 0.5 * (lo + hi)
+        rest = sum(mix.gamma[k] * full(k, h_of[k])
+                   for k in range(mix.n_classes) if k not in att)
+        pooled = sum(mix.gamma[k] for k in att)
+        rho_star = _rho_for_activation(mix.classes[att[0]], h_of[att[0]],
+                                       (mix.alpha - rest) / pooled)
+        if not 0.0 <= rho_star <= 1.0:
+            warnings.append(f"rho* = {rho_star!r} rounded outside [0, 1]; clamped")
+            rho_star = min(max(rho_star, 0.0), 1.0)
 
     policies = []
     silent = []
     boundary = False
-    for k, (cls, ov) in enumerate(zip(mix.classes, off_vals)):
-        a, h, attains = _class_activation(cls, omega_star, rho_star, ov)
-        policies.append(ClassPolicy(threshold_age=h, randomized=attains, activation=a))
-        if attains and h == cls.tau and rho_star < 1.0 - TIE_TOL:
+    for k, cls in enumerate(mix.classes):
+        h = h_of[k] or None
+        attains_k = k in att
+        a = activation_fraction(cls, h, rho_star) if attains_k else full(k, h_of[k])
+        policies.append(ClassPolicy(threshold_age=h, randomized=attains_k, activation=a))
+        if attains_k and h == cls.tau and rho_star < 1.0 - TIE_TOL:
             boundary = True
         if h is None:
             silent.append(k)

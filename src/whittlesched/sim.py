@@ -251,7 +251,13 @@ class PooledEngine(_EngineBase):
         self._c = np.asarray(value, dtype=np.int64).tolist()
 
     def empirical_state(self) -> np.ndarray:
-        return self.counts / self.n
+        z = np.array(self._c, dtype=float)
+        z /= self.n
+        return z
+
+    def share(self, i: int) -> float:
+        """Entry i of empirical_state()."""
+        return self._c[i] / self.n
 
     def _schedule_whittle(self, c: list) -> list:
         sched, j, need = self._cut(c)
@@ -325,6 +331,10 @@ class UserEngine(_EngineBase):
     def empirical_state(self) -> np.ndarray:
         return np.bincount(self.state, minlength=self.model.dim) / self.n
 
+    def share(self, i: int) -> float:
+        """Entry i of empirical_state()."""
+        return int(np.count_nonzero(self.state == i)) / self.n
+
     def _schedule_whittle(self) -> np.ndarray:
         counts = np.bincount(self.state, minlength=self.model.dim)
         _, j, need = self._cut(counts.tolist())
@@ -379,6 +389,43 @@ def run_throughput(config: SimConfig, table: IndexTable | None = None,
     return out
 
 
+def _offset(eng, centre: np.ndarray) -> np.ndarray:
+    """x = Z - centre for the engine's empirical state Z.  sqrt(x . x) is
+    np.linalg.norm(x), bit for bit: that is how norm computes a float vector."""
+    x = eng.empirical_state()
+    x -= centre
+    return x
+
+
+class _Ball:
+    """Decides ||Z - centre||_2 <= epsilon for one engine slot after slot,
+    exactly as np.linalg.norm would.
+
+    If some |x_j| > max(epsilon, 1e-150) (1 + 1e-12), the float norm exceeds
+    epsilon: rounding is monotone, so a float sum of nonnegative squares is at
+    least its largest rounded term, and the margin covers the rounding of
+    x_j^2 (a normal number) and of the square root.  The coordinate farthest
+    out at the last full check is tried first, without building Z.
+    """
+
+    def __init__(self, centre: np.ndarray, epsilon: float):
+        self.centre = np.asarray(centre, dtype=float)
+        self.epsilon = epsilon
+        self._centre = self.centre.tolist()
+        self._bound = max(epsilon, 1e-150) * (1.0 + 1e-12)
+        self._far = 0
+
+    def contains(self, eng) -> bool:
+        j = self._far
+        if abs(eng.share(j) - self._centre[j]) > self._bound:
+            return False
+        x = _offset(eng, self.centre)
+        if math.sqrt(x.dot(x)) <= self.epsilon:
+            return True
+        self._far = int(np.abs(x).argmax())
+        return False
+
+
 def hitting_time(config: SimConfig, epsilon: float, zeta: np.ndarray,
                  max_slots: int | None = None,
                  table: IndexTable | None = None,
@@ -388,8 +435,9 @@ def hitting_time(config: SimConfig, epsilon: float, zeta: np.ndarray,
     if max_slots is None:
         max_slots = config.horizon
     eng = make_engine(config, table, solution)
+    ball = _Ball(zeta, epsilon)
     for t in range(max_slots + 1):
-        if np.linalg.norm(eng.empirical_state() - zeta) <= epsilon:
+        if ball.contains(eng):
             return t
         if t < max_slots:
             eng.step()
@@ -401,13 +449,14 @@ def occupancy(config: SimConfig, epsilon: float, zeta: np.ndarray,
               solution: RelaxedSolution | None = None) -> float:
     """Fraction of post-burn-in slots spent inside the epsilon-ball."""
     eng = make_engine(config, table, solution)
+    ball = _Ball(zeta, epsilon)
     inside = 0
     total = 0
     burn = config.effective_burn_in
     for t in range(config.horizon + 1):
         if t >= burn:
             total += 1
-            if np.linalg.norm(eng.empirical_state() - zeta) <= epsilon:
+            if ball.contains(eng):
                 inside += 1
         if t < config.horizon:
             eng.step()
@@ -426,7 +475,8 @@ def trajectory_deviation(config: SimConfig, steps: int,
     fl = fluid_trajectory(z0, steps, table, store_path=True)
     sup = 0.0
     for t in range(steps + 1):
-        sup = max(sup, float(np.linalg.norm(eng.empirical_state() - fl.path[t])))
+        x = _offset(eng, fl.path[t])
+        sup = max(sup, math.sqrt(x.dot(x)))
         if t < steps:
             eng.step()
     return sup

@@ -44,6 +44,14 @@ def stationary_index(cls: ChannelClass) -> float:
     return r / ((1.0 - p) * (1.0 + r - p) + r)
 
 
+def _off_index(p: float, l: int, b_l: float, b_next: float) -> float:
+    """Index of OffAge(l) from its belief b_l and the next age's b_next."""
+    gap = b_l - b_next  # negative: OFF beliefs rise with age
+    num = gap * (l + 1) + b_next
+    den = (1.0 - p) + gap * l + b_next
+    return num / den
+
+
 def whittle_index(cls: ChannelClass, s: BeliefState) -> float:
     """Whittle index of lattice point s.
 
@@ -53,14 +61,9 @@ def whittle_index(cls: ChannelClass, s: BeliefState) -> float:
     """
     if s.kind != OFF:
         return stationary_index(cls)
-    p = cls.p
     l = s.age
-    b_l = belief_value(cls, off_age(l))
-    b_next = belief_value(cls, off_age(l + 1))
-    gap = b_l - b_next  # negative: OFF beliefs rise with age
-    num = gap * (l + 1) + b_next
-    den = (1.0 - p) + gap * l + b_next
-    return num / den
+    return _off_index(cls.p, l, belief_value(cls, off_age(l)),
+                      belief_value(cls, off_age(l + 1)))
 
 
 def subsidy_value(cls: ChannelClass, omega: float, threshold_age: int) -> float:
@@ -178,33 +181,25 @@ class IndexTable:
 
 
 def build_index_table(mix: ClassMix) -> IndexTable:
+    """Index of every (class, lattice state), one pass per class over the OFF
+    beliefs b_1..b_{tau+1}, and the ladder merged from them."""
     tau = mix.tau
-    block = 2 * tau + 1
-    states = lattice_states(tau)
-    values = np.empty(mix.n_classes * block)
-    entries = []  # (value, class_idx, state, full position)
-    for k, cls in enumerate(mix.classes):
-        for i, s in enumerate(states):
-            w = whittle_index(cls, s)
-            values[k * block + i] = w
-            entries.append((w, k, s, k * block + i))
-    entries.sort(key=lambda e: -e[0])
-    rungs = []
-    cur = [entries[0]]
-    for e in entries[1:]:
-        if cur[0][0] - e[0] <= TIE_TOL:
-            cur.append(e)
+    values = []  # full layout: OFF ages 1..tau, then stationary and ON ages
+    for cls in mix.classes:
+        b = belief_vector(cls)[:tau].tolist() + [belief_value(cls, off_age(tau + 1))]
+        values += [_off_index(cls.p, l, b[l - 1], b[l]) for l in range(1, tau + 1)]
+        values += [stationary_index(cls)] * (tau + 1)
+    rungs = []  # (value, positions), values descending, ties at TIE_TOL
+    for i in sorted(range(len(values)), key=values.__getitem__, reverse=True):  # stable
+        if rungs and rungs[-1][0] - values[i] <= TIE_TOL:
+            rungs[-1][1].append(i)
         else:
-            rungs.append(cur)
-            cur = [e]
-    rungs.append(cur)
+            rungs.append((values[i], [i]))
+    members = [(k, s) for k in range(mix.n_classes) for s in lattice_states(tau)]
     ladder = tuple(
-        Rung(
-            value=grp[0][0],
-            members=tuple((k, s) for _, k, s, _ in grp),
-            positions=tuple(pos for _, _, _, pos in grp),
-        )
-        for grp in rungs
+        Rung(value=w, members=tuple([members[i] for i in pos]), positions=tuple(pos))
+        for w, pos in rungs
     )
+    values = np.array(values)
     values.flags.writeable = False
     return IndexTable(mix=mix, values=values, ladder=ladder)

@@ -99,6 +99,7 @@ def test_criterion_01_belief_closed_form_matches_iteration():
              el, budget=1.0)
 
 
+@pytest.mark.slow
 def test_criterion_02_index_matches_value_iteration_oracle():
     t0 = time.monotonic()
     worst = 0.0
@@ -300,6 +301,7 @@ def test_criterion_10_hitting_times_flatten_with_population(two_solution,
              ok, "; ".join(details), el, budget=1800.0)
 
 
+@pytest.mark.slow
 def test_criterion_11_whittle_respects_the_relaxed_bound(single_solution,
                                                          two_solution):
     t0 = time.monotonic()
@@ -330,6 +332,7 @@ def test_criterion_11_whittle_respects_the_relaxed_bound(single_solution,
              ok, "; ".join(details), el, budget=3600.0)
 
 
+@pytest.mark.slow
 def test_criterion_12_relaxed_simulation_matches_its_solution(single_mix,
                                                               single_table,
                                                               single_solution):

@@ -2,6 +2,7 @@
 affine structure on the marginal-rung region, and stability certificates."""
 
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -103,8 +104,21 @@ def test_profile_at_single_class_fixed_point(single_solution, single_table):
 def test_profile_serves_everything_with_unit_budget(single_solution):
     mix = single_solution.mix
     model = FluidModel(ClassMix(mix.classes, mix.gamma, 1.0))
-    g = model.activation_profile(single_solution.zeta)
-    assert np.all(g == 1.0)
+    on1, off2, off1 = (model.position(0, s) for s in (on_age(1), off_age(2), off_age(1)))
+    # a dyadic state: its sums in ladder order are exact, so all of it is served
+    z = np.zeros(model.dim)
+    z[[on1, off2, off1]] = 0.5, 0.25, 0.25
+    assert np.all(model.activation_profile(z) == 1.0)
+    # zeta's masses added in ladder order (OnAge(1), OffAge(2), OffAge(1)) may
+    # exceed 1 by rounding; the last rung, OffAge(1), is left exactly that
+    # excess unserved and everything else is served in full
+    zeta = single_solution.zeta
+    above = zeta[on1] + zeta[off2]
+    excess = Fraction(above) + Fraction(zeta[off1]) - 1
+    g = model.activation_profile(zeta)
+    assert np.all(np.delete(g, off1) == 1.0)
+    want = 1.0 if excess <= 0 else (zeta[off1] - float(excess)) / zeta[off1]
+    assert g[off1] == want
 
 
 @pytest.mark.parametrize("seed", [0, 7, 23])

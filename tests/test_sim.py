@@ -26,7 +26,7 @@ from whittlesched import (
     run_throughput,
     trajectory_deviation,
 )
-from whittlesched.sim import _worker_count
+from whittlesched.sim import _Ball, _offset, _worker_count
 
 ENGINES = ["pooled", "users"]
 
@@ -531,6 +531,65 @@ def test_deviation_shrinks_with_population(single_mix, single_table):
             cfg = _sim(single_mix, n, 250, seed=seed)
             devs[n] = trajectory_deviation(cfg, 200, table=single_table)
         assert devs[4000] < devs[1000]
+
+
+# Two-class mix, horizon 600, seed 1, recorded with np.linalg.norm as the
+# distance: (engine, N, policy, start, hitting time at epsilon 0.01 and 0.05,
+# occupancy at 0.005 and 0.02, deviation over 200 steps).
+PINNED_DISTANCES = [
+    ("pooled", 1000, "whittle", "all_off_observed", None, 9, 0.0, 0.12384473197781885, 0.05326326827234012),
+    ("pooled", 1000, "whittle", "all_stationary", 28, 8, 0.0, 0.11275415896487985, 0.05375259275076266),
+    ("pooled", 1000, "relaxed", "all_off_observed", 476, 19, 0.0, 0.22365988909426987, 0.799968612665522),
+    ("pooled", 1000, "relaxed", "all_stationary", 473, 12, 0.0, 0.2365988909426987, 0.4962593463532705),
+    ("pooled", 10000, "whittle", "all_off_observed", 13, 8, 0.04436229205175601, 0.9963031423290203, 0.018353992504135025),
+    ("pooled", 10000, "whittle", "all_stationary", 10, 7, 0.031423290203327174, 0.9963031423290203, 0.01741297013639966),
+    ("pooled", 10000, "relaxed", "all_off_observed", 25, 15, 0.07763401109057301, 1.0, 0.799968612665522),
+    ("pooled", 10000, "relaxed", "all_stationary", 29, 11, 0.07763401109057301, 1.0, 0.4941647045334295),
+    ("users", 1000, "whittle", "all_off_observed", None, 7, 0.0, 0.15711645101663585, 0.0660619800848135),
+    ("users", 1000, "whittle", "all_stationary", 560, 6, 0.0, 0.1534195933456562, 0.05464207440184632),
+    ("users", 1000, "relaxed", "all_off_observed", 271, 15, 0.0, 0.22735674676524953, 0.799968612665522),
+    ("users", 1000, "relaxed", "all_stationary", 271, 13, 0.0, 0.22735674676524953, 0.49150813618279443),
+]
+
+
+@pytest.mark.parametrize("engine,n_users,policy,start,hit01,hit05,occ005,occ02,dev",
+                         PINNED_DISTANCES)
+def test_distance_experiments_are_pinned(two_mix, two_table, two_solution, engine,
+                                         n_users, policy, start, hit01, hit05, occ005,
+                                         occ02, dev):
+    cfg = _sim(two_mix, n_users, 600, seed=1, policy=policy, initial_state=start,
+               engine=engine)
+    zeta = two_solution.zeta
+    kw = {"table": two_table, "solution": two_solution}
+    assert hitting_time(cfg, 0.01, zeta, **kw) == hit01
+    assert hitting_time(cfg, 0.05, zeta, **kw) == hit05
+    assert occupancy(cfg, 0.005, zeta, **kw) == occ005
+    assert occupancy(cfg, 0.02, zeta, **kw) == occ02
+    assert trajectory_deviation(cfg, 200, two_table, two_solution) == dev
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_ball_decides_as_numpy_norm(two_mix, two_table, two_solution, engine):
+    # epsilons on both sides of the current distance, down to one ulp, so the
+    # early exit is tried where it could flip a decision
+    zeta = two_solution.zeta
+    cfg = _sim(two_mix, 1000, 200, seed=5, engine=engine)
+    eng = make_engine(cfg, two_table, two_solution)
+    fixed = [_Ball(zeta, eps) for eps in (1e-3, 1e-2, 3e-2, 1e-1)]
+    for _ in range(200):
+        x = _offset(eng, zeta)
+        norm = np.linalg.norm(eng.empirical_state() - zeta)
+        assert math.sqrt(x.dot(x)) == norm
+        for j in (int(np.abs(x).argmax()), 0):
+            share = eng.share(j)
+            assert share == eng.empirical_state()[j]
+        near = [_Ball(zeta, eps) for eps in (norm, math.nextafter(norm, 0.0),
+                                             norm * (1 - 1e-12), norm * (1 + 1e-12))]
+        for ball in near:
+            ball._far = int(np.abs(x).argmax())
+        for ball in fixed + near:
+            assert ball.contains(eng) == (norm <= ball.epsilon)
+        eng.step()
 
 
 # ---------------------------------------------------------------------------

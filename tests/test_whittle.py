@@ -5,7 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from whittlesched.belief import ChannelClass, ClassMix, off_age, on_age, STATIONARY
+from whittlesched.belief import (
+    STATIONARY,
+    ChannelClass,
+    ClassMix,
+    lattice_states,
+    off_age,
+    on_age,
+)
 from whittlesched.whittle import (
     TIE_TOL,
     build_index_table,
@@ -149,12 +156,53 @@ def test_index_bounded_and_monotone(params, age):
         assert w < whittle_index(cls, off_age(age + 1))
 
 
-def test_index_table_matches_pointwise(two_mix, two_table):
-    from whittlesched.belief import lattice_states
+def _table_mixes():
+    rng = np.random.default_rng(12)
+    mixes = [
+        ClassMix((ChannelClass(0.9, 0.45, 32), ChannelClass(0.8, 0.3, 32)), (0.45, 0.55), 0.6),
+        ClassMix((ChannelClass(0.8, 0.2), ChannelClass(0.8, 0.2)), (0.5, 0.5), 0.5),
+        ClassMix((ChannelClass(0.9, 0.85),), (1.0,), 0.5),  # OFF ages tie stationary
+        ClassMix((ChannelClass(0.8, 0.2), ChannelClass(0.6, 0.2)), (0.5, 0.5), 0.9),
+    ]
+    for _ in range(30):
+        tau = int(rng.choice([2, 4, 16, 32]))
+        classes = []
+        for _ in range(int(rng.integers(1, 3))):
+            p = float(rng.uniform(0.05, 0.99))
+            classes.append(ChannelClass(p, float(rng.uniform(0.01, 0.99)) * p, tau))
+        gamma = (1.0,) if len(classes) == 1 else (0.5, 0.5)
+        mixes.append(ClassMix(tuple(classes), gamma, 0.5))
+    return mixes
 
-    for k, cls in enumerate(two_mix.classes):
-        for s in lattice_states(two_mix.tau):
-            assert two_table.value(k, s) == whittle_index(cls, s)
+
+def _reference_ladder(mix):
+    """The ladder from whittle_index state by state: entries in layout order,
+    stably sorted by descending value, grouped while within TIE_TOL of the
+    group's first value."""
+    states = lattice_states(mix.tau)
+    entries = [(whittle_index(cls, s), k, s, k * len(states) + i)
+               for k, cls in enumerate(mix.classes) for i, s in enumerate(states)]
+    entries.sort(key=lambda e: -e[0])
+    groups = [[entries[0]]]
+    for e in entries[1:]:
+        if groups[-1][0][0] - e[0] <= TIE_TOL:
+            groups[-1].append(e)
+        else:
+            groups.append([e])
+    return [(g[0][0], tuple((k, s) for _, k, s, _ in g), tuple(pos for *_, pos in g))
+            for g in groups]
+
+
+@pytest.mark.parametrize("mix", [None, *_table_mixes()])
+def test_index_table_matches_pointwise(two_mix, mix):
+    mix = mix or two_mix
+    table = build_index_table(mix)
+    for k, cls in enumerate(mix.classes):
+        for s in lattice_states(mix.tau):
+            assert table.value(k, s) == whittle_index(cls, s)
+    ladder = [(rung.value, rung.members, rung.positions) for rung in table.ladder]
+    assert ladder == _reference_ladder(mix)
+    assert all(type(rung.value) is float for rung in table.ladder)
 
 
 def test_index_table_ladder_descends_and_covers_everything(two_table):
