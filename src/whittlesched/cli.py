@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
 import json
 import math
 import os
@@ -33,6 +32,11 @@ from .presets import get_preset
 from .sim import SimConfig, hitting_time, lattice_round, occupancy, run_many, \
     run_throughput, trajectory_deviation
 from . import sim as _sim
+
+try:  # CPython's built-in SHA-256: hashlib would load OpenSSL for one digest
+    from _sha2 import sha256  # 3.12+
+except ImportError:
+    from _sha256 import sha256  # 3.10-3.11
 
 FIXED_POINT_TOL = 1e-10
 CONSTRAINT_TOL = 1e-12
@@ -141,7 +145,7 @@ def config_hash(cfg: dict, command: str) -> str:
                "mix": cfg.get("mix"),
                "experiment": cfg.get("experiment", {})}
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    return sha256(blob.encode("utf-8")).hexdigest()
 
 
 def _need(exp: dict, key: str, command: str):
@@ -176,12 +180,8 @@ def _resolve_start(name, mix: ClassMix, n_users: int, zeta) -> str | tuple:
 def _fmt(v) -> str:
     if v is None:
         return ""
-    if isinstance(v, float):
-        return repr(v)
-    if isinstance(v, (np.floating,)):
+    if isinstance(v, (float, np.floating)):
         return repr(float(v))
-    if isinstance(v, (np.integer,)):
-        return str(int(v))
     return str(v)
 
 
@@ -215,175 +215,121 @@ def _mean_se(values: list[float]):
 def cmd_index_table(cfg: dict, out_dir: str, command="index-table") -> int:
     mix = parse_mix(cfg["mix"])
     table = build_index_table(mix)
-    h = config_hash(cfg, command)
     rows = []
     for k, cls in enumerate(mix.classes):
         for s in lattice_states(mix.tau):
             rows.append([k, s.kind, s.age, belief_value(cls, s), table.value(k, s)])
-    write_csv(os.path.join(out_dir, "index_table.csv"), _provenance(h, []),
+    write_csv(os.path.join(out_dir, "index_table.csv"), _provenance(config_hash(cfg, command), []),
               ["class", "state", "age", "belief", "index"], rows)
     return 0
 
 
-def _sim_configs(mix, exp, command, starts_key=False, zeta=None, **fields):
-    """Expand an experiment spec into SimConfigs, one per (N, start, seed) in
-    that order, with the start label of each; fields are the SimConfig fields
-    the command sets itself.  A value the library rejects is a config error."""
+def _throughput_rows(runs, n_list, v):
+    return [[c.n_users, c.seed, c.policy, c.engine, r["slots"], r["belief_throughput"],
+             r["realized_throughput"], r["activation"], v["bound"]] for c, _, r in runs]
+
+
+def _throughput_summary(runs, n_list, v):
+    """One row per N of the grid, over its seeds."""
+    rows = []
+    for n in n_list:
+        vals = [r["belief_throughput"] for c, _, r in runs if c.n_users == n]
+        mean, se = _mean_se(vals)
+        gap = None if v["bound"] is None else v["bound"] - mean
+        rows.append([n, len(vals), mean, se, v["bound"], gap])
+    return rows
+
+
+def _hitting_summary(runs, n_list, v):
+    """One row per (N, start) with at least one hit."""
+    rows = []
+    for n in sorted(set(n_list)):
+        for label in dict.fromkeys(cl for _, cl, _ in runs):
+            cell = [hit for c, cl, hit in runs if (c.n_users, cl) == (n, label)]
+            vals = [float(hit) for hit in cell if hit is not None]
+            if vals:
+                rows.append([n, label, *_mean_se(vals), len(vals), len(cell) - len(vals),
+                             v["epsilon"]])
+    return rows
+
+
+def _distance_csv(name, param, column):
+    """The per-seed CSV of a distance experiment: one row per (N, start, seed)."""
+    def rows(runs, n_list, v):
+        return [[c.n_users, label, v[param], c.seed, r] for c, label, r in runs]
+    return name, ["n_users", "start", param, "seed", column], rows
+
+
+# Each Monte Carlo experiment kind: the values it reads, as (key, type, default;
+# None: required), the last being each run's horizon; the library call and the
+# values it takes after the SimConfig; whether it is a distance experiment (the
+# index policy from a list of starts, measured against zeta); (file name, header,
+# rows) of its per-seed CSV and its summary, rows(runs, n_list, v) taking one
+# (SimConfig, start label, result) per run.
+_KINDS = {
+    "throughput": (
+        (("horizon", int, None),), run_throughput, (), False,
+        (("simulate.csv", ["n_users", "seed", "policy", "engine", "slots_averaged",
+                           "belief_throughput", "realized_throughput", "activation",
+                           "relaxed_bound"], _throughput_rows),
+         ("throughput_sweep.csv", ["n_users", "seeds", "belief_throughput_mean", "se",
+                                   "relaxed_bound", "gap"], _throughput_summary))),
+    "hitting-time": (
+        (("epsilon", float, None), ("max_slots", int, 100000)), hitting_time,
+        ("epsilon", "zeta", "max_slots"), True,
+        (_distance_csv("hitting_times.csv", "epsilon", "hit_slot"),
+         ("hitting_summary.csv", ["n_users", "start", "mean", "se", "seeds", "misses",
+                                  "epsilon"], _hitting_summary))),
+    "occupancy": (
+        (("epsilon", float, None), ("horizon", int, None)), occupancy, ("epsilon", "zeta"),
+        True, (_distance_csv("occupancy.csv", "epsilon", "occupancy"),)),
+    "deviation": (
+        (("steps", int, None),), trajectory_deviation, ("steps",), True,
+        (_distance_csv("deviation.csv", "steps", "sup_deviation"),)),
+}
+
+# the kind each experiment command runs; sweep reads it from the config
+_COMMAND_KINDS = {"simulate": "throughput", "hitting-time": "hitting-time",
+                  "occupancy": "occupancy", "deviation": "deviation", "sweep": None}
+
+
+def run_experiment(cfg: dict, out_dir: str, command: str) -> int:
+    """Run one Monte Carlo experiment, one SimConfig per (N, start, seed) in
+    that order, and write its kind's CSVs.  A degenerate mix is a config error
+    when the kind needs the fixed point or the policy is relaxed."""
+    exp = cfg["experiment"]
+    kind = _COMMAND_KINDS[command] or _need(exp, "kind", command)
+    if not isinstance(kind, str) or kind not in _KINDS:
+        raise ConfigError(f"unknown sweep kind {kind!r}")
+    reads, fn, args, distance, outputs = _KINDS[kind]
+    mix = parse_mix(cfg["mix"])
+    table = build_index_table(mix)
+    solution = solve_relaxed(mix, table)
+    keys = ("engine", "burn_in") if distance else ("engine", "burn_in", "policy")
+    fields = {key: exp[key] for key in keys if key in exp}
+    if solution.degenerate and (distance or fields.get("policy") == "relaxed"):
+        raise ConfigError(f"mix is degenerate for this experiment: {solution.degenerate_reason}")
+    v = {"zeta": solution.zeta, "bound": solution.throughput_per_user}  # None if degenerate
     with _config_values():
+        for key, cast, default in reads:
+            v[key] = cast(_need(exp, key, command) if default is None else exp.get(key, default))
         n_list = [int(n) for n in _as_list(_need(exp, "n_users", command))]
         seeds = [int(s) for s in _need(exp, "seeds", command)]
-        engine = exp.get("engine", "pooled")
-        if starts_key:
-            starts = _as_list(exp.get("starts", ["x"]))
-        else:
-            starts = [exp.get("initial_state", "x")]
+        starts = _as_list(exp.get("starts", ["x"])) if distance else \
+            [exp.get("initial_state", "x")]
         configs, labels = [], []
         for n in n_list:
             for start in starts:
-                init = _resolve_start(start, mix, n, zeta)
-                label = start if isinstance(start, str) else "explicit"
+                init = _resolve_start(start, mix, n, v["zeta"])
                 for seed in seeds:
-                    configs.append(SimConfig(mix=mix, n_users=n, seed=seed, initial_state=init,
-                                             engine=engine, **fields))
-                    labels.append(label)
-    return configs, labels, n_list, seeds, engine
-
-
-def cmd_simulate(cfg: dict, out_dir: str, command="simulate") -> int:
-    mix = parse_mix(cfg["mix"])
-    exp = cfg["experiment"]
-    table = build_index_table(mix)
-    policy = exp.get("policy", "whittle")
-    if policy == "relaxed":
-        solution = _solution_or_config_error(mix, table)
-    else:
-        solution = solve_relaxed(mix, table)
-    with _config_values():
-        horizon = int(_need(exp, "horizon", command))
-    zeta = None if solution.degenerate else solution.zeta
-    configs, _, _, seeds, engine = _sim_configs(mix, exp, command, zeta=zeta, horizon=horizon,
-                                                policy=policy, burn_in=exp.get("burn_in"))
-    results = run_many(run_throughput, configs, table, solution)
-    bound = None if solution.degenerate else solution.throughput_per_user
-    h = config_hash(cfg, command)
-    rows = [
-        [c.n_users, c.seed, policy, engine, r["slots"], r["belief_throughput"],
-         r["realized_throughput"], r["activation"], bound]
-        for c, r in zip(configs, results)
-    ]
-    write_csv(os.path.join(out_dir, "simulate.csv"), _provenance(h, seeds),
-              ["n_users", "seed", "policy", "engine", "slots_averaged",
-               "belief_throughput", "realized_throughput", "activation",
-               "relaxed_bound"], rows)
-    return 0
-
-
-def _solution_or_config_error(mix, table=None):
-    solution = solve_relaxed(mix, table)
-    if solution.degenerate:
-        raise ConfigError(
-            "mix is degenerate for this experiment: " + (solution.degenerate_reason or ""))
-    return solution
-
-
-def cmd_hitting_time(cfg: dict, out_dir: str, command="hitting-time") -> int:
-    mix = parse_mix(cfg["mix"])
-    exp = cfg["experiment"]
-    table = build_index_table(mix)
-    solution = _solution_or_config_error(mix, table)
-    with _config_values():
-        eps = float(_need(exp, "epsilon", command))
-        max_slots = int(exp.get("max_slots", 100000))
-    configs, labels, n_list, seeds, _ = _sim_configs(mix, exp, command, starts_key=True,
-                                                     zeta=solution.zeta, horizon=max_slots)
-    hits = run_many(hitting_time, configs, eps, solution.zeta, max_slots, table, solution)
-    h = config_hash(cfg, command)
-    rows = [[c.n_users, label, eps, c.seed, hit]
-            for c, label, hit in zip(configs, labels, hits)]
-    write_csv(os.path.join(out_dir, "hitting_times.csv"), _provenance(h, seeds),
-              ["n_users", "start", "epsilon", "seed", "hit_slot"], rows)
-    # aggregated shape: one row per (N, start)
-    agg_rows = []
-    for n in sorted(set(n_list)):
-        for label in dict.fromkeys(labels):
-            cell = [hit for c, cl, hit in zip(configs, labels, hits)
-                    if c.n_users == n and cl == label]
-            vals = [float(hit) for hit in cell if hit is not None]
-            if not vals:
-                continue
-            mean, se = _mean_se(vals)
-            agg_rows.append([n, label, mean, se, len(vals), len(cell) - len(vals), eps])
-    write_csv(os.path.join(out_dir, "hitting_summary.csv"), _provenance(h, seeds),
-              ["n_users", "start", "mean", "se", "seeds", "misses", "epsilon"], agg_rows)
-    return 0
-
-
-def cmd_occupancy(cfg: dict, out_dir: str, command="occupancy") -> int:
-    mix = parse_mix(cfg["mix"])
-    exp = cfg["experiment"]
-    table = build_index_table(mix)
-    solution = _solution_or_config_error(mix, table)
-    with _config_values():
-        eps = float(_need(exp, "epsilon", command))
-        horizon = int(_need(exp, "horizon", command))
-    configs, labels, _, seeds, _ = _sim_configs(mix, exp, command, starts_key=True,
-                                                zeta=solution.zeta, horizon=horizon,
-                                                burn_in=exp.get("burn_in"))
-    occs = run_many(occupancy, configs, eps, solution.zeta, table, solution)
-    h = config_hash(cfg, command)
-    rows = [[c.n_users, label, eps, c.seed, occ]
-            for c, label, occ in zip(configs, labels, occs)]
-    write_csv(os.path.join(out_dir, "occupancy.csv"), _provenance(h, seeds),
-              ["n_users", "start", "epsilon", "seed", "occupancy"], rows)
-    return 0
-
-
-def cmd_deviation(cfg: dict, out_dir: str, command="deviation") -> int:
-    mix = parse_mix(cfg["mix"])
-    exp = cfg["experiment"]
-    table = build_index_table(mix)
-    solution = _solution_or_config_error(mix, table)
-    with _config_values():
-        steps = int(_need(exp, "steps", command))
-    configs, labels, _, seeds, _ = _sim_configs(mix, exp, command, starts_key=True,
-                                                zeta=solution.zeta, horizon=steps)
-    sups = run_many(trajectory_deviation, configs, steps, table, solution)
-    h = config_hash(cfg, command)
-    rows = [[c.n_users, label, steps, c.seed, sup]
-            for c, label, sup in zip(configs, labels, sups)]
-    write_csv(os.path.join(out_dir, "deviation.csv"), _provenance(h, seeds),
-              ["n_users", "start", "steps", "seed", "sup_deviation"], rows)
-    return 0
-
-
-def cmd_sweep(cfg: dict, out_dir: str, command="sweep") -> int:
-    exp = cfg["experiment"]
-    kind = _need(exp, "kind", command)
-    if kind == "hitting-time":
-        return cmd_hitting_time(cfg, out_dir, command="sweep")
-    if kind == "deviation":
-        return cmd_deviation(cfg, out_dir, command="sweep")
-    if kind != "throughput":
-        raise ConfigError(f"unknown sweep kind {kind!r}")
-    mix = parse_mix(cfg["mix"])
-    table = build_index_table(mix)
-    solution = _solution_or_config_error(mix, table)
-    with _config_values():
-        horizon = int(_need(exp, "horizon", command))
-    configs, _, n_list, seeds, _ = _sim_configs(mix, exp, command, zeta=solution.zeta,
-                                                horizon=horizon,
-                                                policy=exp.get("policy", "whittle"))
-    results = run_many(run_throughput, configs, table, solution)
-    h = config_hash(cfg, command)
-    bound = solution.throughput_per_user
-    rows = []
-    for n in n_list:
-        vals = [r["belief_throughput"] for c, r in zip(configs, results) if c.n_users == n]
-        mean, se = _mean_se(vals)
-        rows.append([n, len(vals), mean, se, bound, bound - mean])
-    write_csv(os.path.join(out_dir, "throughput_sweep.csv"), _provenance(h, seeds),
-              ["n_users", "seeds", "belief_throughput_mean", "se",
-               "relaxed_bound", "gap"], rows)
+                    configs.append(SimConfig(mix=mix, n_users=n, horizon=v[reads[-1][0]],
+                                             seed=seed, initial_state=init, **fields))
+                    labels.append(start if isinstance(start, str) else "explicit")
+    results = run_many(fn, configs, *(v[a] for a in args), table, solution)
+    runs = list(zip(configs, labels, results))
+    provenance = _provenance(config_hash(cfg, command), seeds)
+    for name, header, rows in outputs:
+        write_csv(os.path.join(out_dir, name), provenance, header, rows(runs, n_list, v))
     return 0
 
 
@@ -392,10 +338,9 @@ def cmd_pipeline(cfg: dict, out_dir: str, command="pipeline") -> int:
     exp = cfg.get("experiment", {})
     table = build_index_table(mix)
     solution = solve_relaxed(mix, table)
-    h = config_hash(cfg, command)
     report: dict = {
         "version": __version__,
-        "config_sha256": h,
+        "config_sha256": config_hash(cfg, command),
         "mix": cfg["mix"],
         "relaxed": {
             "omega_star": solution.omega_star,
@@ -469,15 +414,8 @@ def cmd_pipeline(cfg: dict, out_dir: str, command="pipeline") -> int:
     return 1 if failed else 0
 
 
-_COMMANDS = {
-    "index-table": cmd_index_table,
-    "simulate": cmd_simulate,
-    "hitting-time": cmd_hitting_time,
-    "occupancy": cmd_occupancy,
-    "deviation": cmd_deviation,
-    "sweep": cmd_sweep,
-    "pipeline": cmd_pipeline,
-}
+_COMMANDS = {"index-table": cmd_index_table, **dict.fromkeys(_COMMAND_KINDS, run_experiment),
+             "pipeline": cmd_pipeline}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -497,10 +435,11 @@ def build_parser() -> argparse.ArgumentParser:
         "hitting-time": "first-entry times into an epsilon-ball around the fixed point",
         "occupancy": "fraction of slots spent inside an epsilon-ball around the fixed point",
         "deviation": "sup-norm gap between one run and the fluid trajectory",
-        "sweep": "aggregate hitting-time/throughput/deviation over an N grid",
+        "sweep": "run experiment.kind (throughput, hitting-time, occupancy or deviation) "
+                 "over an N grid; writes that command's CSVs",
         "pipeline": "solve, certify stability, optionally simulate; JSON report",
     }
-    for name, fn in _COMMANDS.items():
+    for name in _COMMANDS:
         p = sub.add_parser(name, help=helps[name])
         p.add_argument("--config", help="JSON config path")
         p.add_argument("--preset", help="shipped preset name")
@@ -515,7 +454,7 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args)
         out_dir = args.out if args.out != "." else cfg.get("out_dir", ".")
-        return _COMMANDS[args.command](cfg, out_dir)
+        return _COMMANDS[args.command](cfg, out_dir, args.command)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2

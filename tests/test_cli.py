@@ -1,8 +1,10 @@
 """Command-line driver tests: config validation, CSV artifact shapes, byte
 reproducibility, exit codes, and the pipeline report."""
 
+import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from whittlesched.cli import main
@@ -135,10 +137,25 @@ def test_rejected_experiment_values_are_config_errors(tmp_path, capsys, experime
 
 
 def test_relaxed_policy_on_a_transient_mix_is_a_config_error(tmp_path, capsys):
+    experiment = {"n_users": 40, "horizon": 20, "seeds": [1], "policy": "relaxed"}
+    for command, kind in [("simulate", {}), ("sweep", {"kind": "throughput"})]:
+        cfg = write_config(tmp_path, config(TRANSIENT_MIX, {**experiment, **kind}))
+        assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "degenerate" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("kind, message", [
+    ({}, "experiment key 'kind' is required for sweep"),
+    ({"kind": "atlas"}, "unknown sweep kind 'atlas'"),
+    ({"kind": ["throughput"]}, "unknown sweep kind ['throughput']"),
+])
+def test_sweep_rejects_a_missing_or_unknown_kind(tmp_path, capsys, kind, message):
     cfg = write_config(tmp_path, config(
-        TRANSIENT_MIX, {"n_users": 40, "horizon": 20, "seeds": [1], "policy": "relaxed"}))
-    assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 2
-    assert "degenerate" in capsys.readouterr().err
+        SINGLE_MIX, {"n_users": 40, "horizon": 20, "seeds": [1], **kind}))
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_library_fault_exits_1_and_is_not_a_config_error(tmp_path, capsys):
@@ -219,6 +236,19 @@ def test_simulate_leaves_bound_empty_for_transient_mix(tmp_path):
     assert len(rows) == 1 and rows[0][8] == ""
 
 
+def test_throughput_sweep_on_a_transient_mix_leaves_bound_and_gap_empty(tmp_path):
+    # the index policy needs no fixed point, so only the bound is missing
+    cfg = write_config(tmp_path, config(
+        TRANSIENT_MIX, {"kind": "throughput", "n_users": [40, 80], "horizon": 40,
+                        "seeds": [3]}))
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 0
+    _, _, rows = read_csv(tmp_path / "simulate.csv")
+    assert [r[8] for r in rows] == ["", ""]
+    _, _, summary = read_csv(tmp_path / "throughput_sweep.csv")
+    assert [r[:2] for r in summary] == [["40", "1"], ["80", "1"]]
+    assert all(r[4:] == ["", ""] for r in summary)
+
+
 def test_seed_override_reaches_provenance_and_rows(tmp_path):
     cfg = write_config(tmp_path, config(
         SINGLE_MIX, {"n_users": 40, "horizon": 40, "seeds": [1, 2, 3]}))
@@ -243,6 +273,22 @@ def test_throughput_sweep_aggregates_and_blanks_single_seed_se(tmp_path):
         assert float(r[5]) == pytest.approx(float(r[4]) - float(r[2]), abs=1e-15)
 
 
+@pytest.mark.parametrize("burn_in, slots", [(None, 45), (0, 50), (40, 10)])
+def test_sweep_honours_burn_in(tmp_path, burn_in, slots):
+    experiment = {"n_users": 40, "horizon": 50, "seeds": [1, 2]}
+    if burn_in is not None:
+        experiment["burn_in"] = burn_in
+    simulate = write_config(tmp_path, config(SINGLE_MIX, experiment), "simulate.json")
+    sweep = write_config(tmp_path, config(SINGLE_MIX, {**experiment, "kind": "throughput"}),
+                         "sweep.json")
+    assert main(["simulate", "--config", simulate, "--out", str(tmp_path / "simulate")]) == 0
+    assert main(["sweep", "--config", sweep, "--out", str(tmp_path / "sweep")]) == 0
+    _, _, per_seed = read_csv(tmp_path / "simulate" / "simulate.csv")
+    assert [int(r[4]) for r in per_seed] == [slots, slots]
+    _, _, summary = read_csv(tmp_path / "sweep" / "throughput_sweep.csv")
+    assert float(summary[0][2]) == float(np.mean([float(r[5]) for r in per_seed]))
+
+
 def test_sweep_dispatches_hitting_time_kind(tmp_path):
     cfg = write_config(tmp_path, config(
         SINGLE_MIX, {"kind": "hitting-time", "n_users": [40, 80],
@@ -256,6 +302,85 @@ def test_sweep_dispatches_hitting_time_kind(tmp_path):
                       "epsilon"]
     assert [(r[0], r[1]) for r in agg] == [
         ("40", "x"), ("40", "y"), ("80", "x"), ("80", "y")]
+
+
+# ---------------------------------------------------------------------------
+# byte-identical artifacts
+
+# sha256 of every CSV each command wrote before the commands shared one runner;
+# the runner must keep them byte for byte
+GOLDEN = {
+    "simulate": ("simulate", SINGLE_MIX, {
+        "n_users": [40, 200], "horizon": 300, "seeds": [1, 2], "initial_state": "y"}, {
+        "simulate.csv": "66063a543dc05cad2bcf03407d90e19519ade4f29f10b38887c382a1b9422f15"}),
+    "simulate-relaxed": ("simulate", TWO_MIX, {
+        "n_users": 100, "horizon": 200, "seeds": [3], "policy": "relaxed", "burn_in": 50,
+        "engine": "users"}, {
+        "simulate.csv": "754546e680c095bf04dece8bfdedda6dfc41c96bc4347c9c8f6a235df7932755"}),
+    "hitting-time": ("hitting-time", TWO_MIX, {
+        "n_users": 200, "epsilon": 0.05, "max_slots": 300, "seeds": [1, 2],
+        "starts": ["x", "y", "zeta"]}, {
+        "hitting_times.csv": "df660d9c01f5f9e811d68bd30b0b0901a337af98f47ff79832512504498b9d65",
+        "hitting_summary.csv":
+            "6c14e49a586b0dd9a39cf2af2f1513ae89ae935a8c02c85cfb60ced7ca13e7dc"}),
+    "occupancy": ("occupancy", SINGLE_MIX, {
+        "n_users": 400, "horizon": 300, "epsilon": 0.05, "seeds": [1],
+        "starts": ["zeta", "x"], "burn_in": 100}, {
+        "occupancy.csv": "b16a4bb15e071a94b9038156c63b493cbb4c2d782f0efc1c7232ac7007ece195"}),
+    "deviation": ("deviation", TWO_MIX, {
+        "n_users": 100, "steps": 100, "seeds": [1, 2], "starts": ["x", "y"]}, {
+        "deviation.csv": "5d8617b660a6ecdf334cfcb990e4dbd2f78994ac3762d5497934816f097cf632"}),
+    "sweep-throughput": ("sweep", SINGLE_MIX, {
+        "kind": "throughput", "n_users": [40, 80], "horizon": 200, "seeds": [1, 2, 3]}, {
+        "throughput_sweep.csv":
+            "1976c8ffd970fac37a99ff9a0bdaf16b84e676fcf510dc9762d8c6d942b310eb"}),
+    "sweep-hitting-time": ("sweep", SINGLE_MIX, {
+        "kind": "hitting-time", "n_users": [40, 80], "starts": ["x", "y"], "epsilon": 0.25,
+        "seeds": [1, 2], "max_slots": 300}, {
+        "hitting_times.csv": "9a117953296129e9641034134e13d8d48714f4c2a974d32d26c806edd7813e95",
+        "hitting_summary.csv":
+            "9dae115933f6bae690adca4a96790bbff6e63543b51c6d9ddef764fd384184a7"}),
+    "sweep-deviation": ("sweep", SINGLE_MIX, {
+        "kind": "deviation", "n_users": [40, 80], "steps": 60, "seeds": [1]}, {
+        "deviation.csv": "3444eef82610f28cf888b2cea417854003c66cbe6ef42504c2167152df308137"}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN))
+def test_csv_bytes_match_the_recorded_digests(tmp_path, case):
+    command, mix, experiment, digests = GOLDEN[case]
+    cfg = write_config(tmp_path, config(mix, experiment))
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    for name, digest in digests.items():
+        assert hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest() == digest
+
+
+def test_every_run_writes_its_kinds_csvs(tmp_path):
+    headers = {
+        "simulate.csv": ["n_users", "seed", "policy", "engine", "slots_averaged",
+                         "belief_throughput", "realized_throughput", "activation",
+                         "relaxed_bound"],
+        "throughput_sweep.csv": ["n_users", "seeds", "belief_throughput_mean", "se",
+                                 "relaxed_bound", "gap"],
+    }
+    throughput = {"n_users": 40, "horizon": 50, "seeds": [1, 2]}
+    for command, experiment in [("simulate", throughput),
+                                ("sweep", {**throughput, "kind": "throughput"})]:
+        cfg = write_config(tmp_path, config(SINGLE_MIX, experiment), f"{command}.json")
+        assert main([command, "--config", cfg, "--out", str(tmp_path / command)]) == 0
+        assert sorted(p.name for p in (tmp_path / command).iterdir()) == sorted(headers)
+        for name, header in headers.items():
+            assert read_csv(tmp_path / command / name)[1] == header
+    # sweep runs the occupancy kind and writes what the occupancy command writes
+    occupancy = {"n_users": 40, "horizon": 50, "epsilon": 0.2, "seeds": [1, 2]}
+    for command, experiment in [("occupancy", occupancy),
+                                ("sweep", {**occupancy, "kind": "occupancy"})]:
+        cfg = write_config(tmp_path, config(SINGLE_MIX, experiment), f"{command}-occ.json")
+        assert main([command, "--config", cfg, "--out", str(tmp_path / f"{command}-occ")]) == 0
+    assert [p.name for p in (tmp_path / "sweep-occ").iterdir()] == ["occupancy.csv"]
+    _, header, rows = read_csv(tmp_path / "sweep-occ" / "occupancy.csv")
+    assert header == ["n_users", "start", "epsilon", "seed", "occupancy"]
+    assert rows == read_csv(tmp_path / "occupancy-occ" / "occupancy.csv")[2] and len(rows) == 2
 
 
 # ---------------------------------------------------------------------------
