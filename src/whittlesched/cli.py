@@ -60,7 +60,7 @@ def _config_values():
 # config handling
 
 _TOP_KEYS = {"schema", "mix", "experiment", "out_dir"}
-_MIX_KEYS = {"classes", "gamma", "alpha"}
+_MIX_KEYS = ("classes", "gamma", "alpha")  # a tuple: a missing key is named in this order
 _CLASS_KEYS = {"p", "r", "tau"}
 # union of experiment keys over all commands; per-command requirements are
 # checked at dispatch so one preset can serve several commands
@@ -70,8 +70,8 @@ _EXPERIMENT_KEYS = {
 }
 
 
-def _reject_unknown(d: dict, allowed: set, where: str):
-    unknown = set(d) - allowed
+def _reject_unknown(d: dict, allowed: set | tuple, where: str):
+    unknown = set(d).difference(allowed)
     if unknown:
         raise ConfigError(f"unknown {where} keys: {', '.join(sorted(unknown))}")
 
@@ -305,8 +305,9 @@ def run_experiment(cfg: dict, out_dir: str, command: str) -> int:
     mix = parse_mix(cfg["mix"])
     table = build_index_table(mix)
     solution = solve_relaxed(mix, table)
-    keys = ("engine", "burn_in") if distance else ("engine", "burn_in", "policy")
-    fields = {key: exp[key] for key in keys if key in exp}
+    fields = {key: exp[key] for key in ("engine", "burn_in", "policy") if key in exp}
+    if distance and fields.get("policy", "whittle") != "whittle":
+        raise ConfigError(f"{kind} runs the whittle policy, not {fields['policy']!r}")
     if solution.degenerate and (distance or fields.get("policy") == "relaxed"):
         raise ConfigError(f"mix is degenerate for this experiment: {solution.degenerate_reason}")
     v = {"zeta": solution.zeta, "bound": solution.throughput_per_user}  # None if degenerate

@@ -12,6 +12,7 @@ configuration, and a spectral-radius certificate for local stability.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -157,11 +158,11 @@ class FluidModel:
     # -- marginal-rung region ------------------------------------------
 
     def crossing_rung(self, solution: RelaxedSolution) -> int:
-        """Ladder position of the rung valued omega_star (exact match)."""
-        for j, (v, _) in enumerate(self.rungs):
-            if v == solution.omega_star:
-                return j
-        raise ValueError("solution's omega_star is not a rung of this table")
+        """Ladder position of the solution's crossing rung, the rung valued
+        omega_star."""
+        if solution.table.ladder != self.table.ladder:
+            raise ValueError("solution's crossing rung is not a rung of this table")
+        return solution.crossing_rung
 
     def in_linear_region(self, z: np.ndarray, rung_idx: int) -> bool:
         """True when the budget pins this rung as the marginal one: everything
@@ -444,17 +445,24 @@ class StabilityCertificate:
 def stability_certificate(u_star: np.ndarray,
                           powers: tuple[int, ...] = (64, 128, 256)) -> StabilityCertificate:
     A = u_star + np.eye(u_star.shape[0])
-    # repeated squaring; powers must be increasing powers of two times the first
+    # repeated squaring; powers must be increasing powers of two times the
+    # first.  A^k is P * 2^shift: before each squaring P is scaled by a power of
+    # two (exactly) to a norm in [1/2, 1), so it neither underflows to zero
+    # nor overflows
     ests = []
-    P = A.copy()
+    P = A
+    shift = 0
     k = 1
     for K in powers:
         while k < K:
+            s = math.frexp(np.linalg.norm(P))[1]
+            P = np.ldexp(P, -s)
             P = P @ P
+            shift = 2 * (shift + s)
             k *= 2
         if k != K:
             raise ValueError("powers must be reachable by repeated squaring")
-        ests.append((K, float(np.linalg.norm(P, "fro") ** (1.0 / K))))
+        ests.append((K, float(np.linalg.norm(P, "fro") ** (1.0 / K) * 2.0 ** (shift / K))))
     below = all(e < 1.0 for _, e in ests)
     # non-strict: nilpotent-style cases sit at an exact constant (e.g. all
     # zero for U* = -I), which still certifies since every Gelfand estimate

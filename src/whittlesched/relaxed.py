@@ -16,6 +16,7 @@ from functools import cache
 import numpy as np
 
 from .belief import (
+    OFF,
     BeliefState,
     ChannelClass,
     ClassMix,
@@ -24,10 +25,12 @@ from .belief import (
     off_age,
     on_age,
 )
-from .whittle import TIE_TOL, IndexTable, build_index_table, stationary_index
+from .whittle import IndexTable, build_index_table
 
 # slack for "activation exactly meets alpha at rho = 1" and budget comparisons
 EQ_TOL = 1e-14
+# a rho* this close to 1 schedules the truncation boundary in full
+BOUNDARY_RHO_TOL = 1e-12
 
 
 def activation_fraction(cls: ChannelClass, threshold_age: int | None, rho: float) -> float:
@@ -120,6 +123,7 @@ class RelaxedSolution:
     mix: ClassMix
     table: IndexTable
     omega_star: float
+    crossing_rung: int  # ladder index of the rung valued omega_star
     rho_star: float
     policies: tuple[ClassPolicy, ...]
     activation: float
@@ -129,21 +133,6 @@ class RelaxedSolution:
     warnings: tuple[str, ...] = ()
     throughput_per_user: float | None = None
     zeta: np.ndarray | None = field(default=None, repr=False)
-
-
-def _rung_ages(off_values: np.ndarray, omegas: np.ndarray) -> tuple[list, list]:
-    """Threshold of one class at every rung of the ladder: the first OFF age
-    whose index is within TIE_TOL of the rung (the class attains the rung),
-    else the first age above it, else 0 (the class never schedules).
-
-    Returns (ages, attains), one entry per rung.
-    """
-    tie = np.abs(off_values - omegas[:, None]) <= TIE_TOL
-    above = off_values > omegas[:, None]
-    attains = tie.any(axis=1)
-    ages = np.where(attains, tie.argmax(axis=1), above.argmax(axis=1)) + 1
-    ages[~(attains | above.any(axis=1))] = 0
-    return ages.tolist(), attains.tolist()
 
 
 def _rho_for_activation(cls: ChannelClass, h: int, target: float) -> float:
@@ -161,22 +150,17 @@ def solve_relaxed(mix: ClassMix, table: IndexTable | None = None) -> RelaxedSolu
     """Walk the merged index ladder down to the rung where total activation
     reaches alpha, then solve for the randomization weight on that rung.
 
-    Each class's threshold at every rung comes from one comparison of its OFF
-    indices with the rung values, and each (class, threshold) activation is
-    evaluated once.  On the crossing rung the attaining classes randomize with
-    one weight rho*; their activation is linear-fractional in rho, so rho*
-    has a closed form.  Attaining classes with the same (p, r, threshold)
-    pool their fractions.  Distinct classes tied on the crossing rung could
-    split the budget between them in many ways, so that solution is
-    degenerate.
+    Walking down, each class's threshold is its lowest OFF age on the rungs
+    walked so far, and each (class, threshold) activation is evaluated once.
+    The classes with an OFF state on the crossing rung attain it and
+    randomize there with one weight rho*; their activation is
+    linear-fractional in rho, so rho* has a closed form.  Attaining classes
+    with the same (p, r, threshold) pool their fractions.  Distinct classes
+    tied on the crossing rung could split the budget between them in many
+    ways, so that solution is degenerate.
     """
     if table is None:
         table = build_index_table(mix)
-    tau = mix.tau
-    block = 2 * tau + 1
-    omegas = np.array([rung.value for rung in table.ladder])
-    ages, attains = zip(*(_rung_ages(table.values[k * block: k * block + tau], omegas)
-                          for k in range(mix.n_classes)))
 
     @cache
     def full(k: int, h: int) -> float:
@@ -184,21 +168,26 @@ def solve_relaxed(mix: ClassMix, table: IndexTable | None = None) -> RelaxedSolu
         return activation_fraction(mix.classes[k], h, 1.0) if h else 0.0
 
     warnings: list[str] = []
+    h_of = [0] * mix.n_classes  # lowest OFF age walked so far, 0 for none
+    above = set()  # classes with a state on a rung above the current one
     prev_f1 = 0.0
     for i, rung in enumerate(table.ladder):
-        f1 = sum(g * full(k, ages[k][i]) for k, g in enumerate(mix.gamma))
+        att = [k for k, s in rung.members if s.kind == OFF]
+        for k, s in rung.members:
+            if s.kind == OFF:
+                h_of[k] = s.age
+        f1 = sum(g * full(k, h_of[k]) for k, g in enumerate(mix.gamma))
         if f1 >= mix.alpha - EQ_TOL:
             break
         prev_f1 = f1
+        above.update(k for k, _ in rung.members)
     else:
         # not even full activation of everything below reaches alpha
         return _degenerate(
-            mix, table, table.ladder[-1].value,
+            mix, table, i,
             reason=f"total activation saturates at {prev_f1:.6g} < alpha={mix.alpha}",
         )
     omega_star = rung.value
-    h_of = [ages[k][i] for k in range(mix.n_classes)]
-    att = [k for k in range(mix.n_classes) if attains[k][i]]
     f0 = sum(g * (activation_fraction(mix.classes[k], h_of[k], 0.0) if k in att
                   else full(k, h_of[k]))
              for k, g in enumerate(mix.gamma))
@@ -206,7 +195,7 @@ def solve_relaxed(mix: ClassMix, table: IndexTable | None = None) -> RelaxedSolu
         # jump across the truncation gap: the needed threshold lies beyond
         # the lattice depth
         return _degenerate(
-            mix, table, omega_star,
+            mix, table, i,
             reason="threshold beyond truncation depth: activation jumps from "
                    f"{prev_f1:.6g} to {f0:.6g} across rung {omega_star:.6g} "
                    f"while alpha={mix.alpha}",
@@ -217,7 +206,7 @@ def solve_relaxed(mix: ClassMix, table: IndexTable | None = None) -> RelaxedSolu
         warnings.append("activation meets alpha exactly at rho = 1")
     elif len({(mix.classes[k].p, mix.classes[k].r, h_of[k]) for k in att}) > 1:
         return _degenerate(
-            mix, table, omega_star,
+            mix, table, i,
             reason=f"crossing rung {omega_star:.6g} is tied across distinct classes "
                    f"{att}: the split of the budget between them is not unique",
         )
@@ -239,11 +228,11 @@ def solve_relaxed(mix: ClassMix, table: IndexTable | None = None) -> RelaxedSolu
         attains_k = k in att
         a = activation_fraction(cls, h, rho_star) if attains_k else full(k, h_of[k])
         policies.append(ClassPolicy(threshold_age=h, randomized=attains_k, activation=a))
-        if attains_k and h == cls.tau and rho_star < 1.0 - TIE_TOL:
+        if attains_k and h == cls.tau and rho_star < 1.0 - BOUNDARY_RHO_TOL:
             boundary = True
         if h is None:
             silent.append(k)
-            if omega_star >= stationary_index(cls) - TIE_TOL:
+            if k not in above:
                 warnings.append(
                     f"class {k} is transient at the relaxed optimum (its whole ladder "
                     f"sits at or below omega* = {omega_star:.6g})")
@@ -267,6 +256,7 @@ def solve_relaxed(mix: ClassMix, table: IndexTable | None = None) -> RelaxedSolu
         mix=mix,
         table=table,
         omega_star=omega_star,
+        crossing_rung=i,
         rho_star=rho_star,
         policies=tuple(policies),
         activation=activation,
@@ -281,13 +271,14 @@ def solve_relaxed(mix: ClassMix, table: IndexTable | None = None) -> RelaxedSolu
     return replace(sol, throughput_per_user=per_user_throughput(sol), zeta=zeta)
 
 
-def _degenerate(mix, table, omega, reason):
+def _degenerate(mix, table, rung_idx, reason):
     policies = tuple(
         ClassPolicy(threshold_age=None, randomized=False, activation=0.0)
         for _ in mix.classes
     )
     return RelaxedSolution(
-        mix=mix, table=table, omega_star=omega, rho_star=0.0,
+        mix=mix, table=table, omega_star=table.ladder[rung_idx].value,
+        crossing_rung=rung_idx, rho_star=0.0,
         policies=policies, activation=0.0, degenerate=True,
         degenerate_reason=reason, silent_classes=tuple(range(mix.n_classes)),
         warnings=(reason,),

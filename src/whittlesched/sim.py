@@ -144,12 +144,11 @@ class _EngineBase:
                 raise ValueError("relaxed policy unavailable: " +
                                  (solution.degenerate_reason or "degenerate solution"))
             self.solution = solution
-            d = self.model.dim
-            self.act_prob = np.zeros(d)
+            # every rung above the crossing rung in full, the crossing rung
+            # with weight rho*
+            crossing = self.model.crossing_rung(solution)
+            self.act_prob = (self.model._rung_of < crossing).astype(float)
             for k, pol in enumerate(solution.policies):
-                block = self.model.class_slice(k)
-                vals = table.values[block]
-                self.act_prob[block] = np.where(vals > solution.omega_star, 1.0, 0.0)
                 if pol.randomized:
                     rung_pos = self.model.position(k, pol.threshold_state)
                     self.act_prob[rung_pos] = solution.rho_star

@@ -29,11 +29,6 @@ from .belief import (
     step_idle,
 )
 
-# Ladder rungs closer than this are treated as one rung (exact ties in
-# practice: within-class values are strictly separated, cross-class ties only
-# happen for deliberately identical classes).
-TIE_TOL = 1e-12
-
 ORACLE_SPAN_TOL = 1e-10
 ORACLE_MAX_ITERS = 10**6
 
@@ -41,29 +36,42 @@ ORACLE_MAX_ITERS = 10**6
 def stationary_index(cls: ChannelClass) -> float:
     """Common index of the stationary state and every ON lattice point."""
     p, r = cls.p, cls.r
-    return r / ((1.0 - p) * (1.0 + r - p) + r)
+    return r / ((1 - p) * (1 + r - p) + r)
 
 
-def _off_index(p: float, l: int, b_l: float, b_next: float) -> float:
-    """Index of OffAge(l) from its belief b_l and the next age's b_next."""
-    gap = b_l - b_next  # negative: OFF beliefs rise with age
-    num = gap * (l + 1) + b_next
-    den = (1.0 - p) + gap * l + b_next
-    return num / den
+def _off_indices(cls: ChannelClass) -> list:
+    """Indices of OffAge(1..tau) in one pass: with d = p - r, w_l =
+    r S1_l / (1 + r S2_l), S1_l = sum_{m<l} (m+1) d^m, S2_l = sum_{m<l} m d^m.
+    No term cancels and w_1 = r.  The exact values climb strictly toward the
+    stationary index; the rounded ones are capped by a running minimum from
+    it down through ages tau..1, so they never contradict that order.  The
+    int constants let it run exactly on fractions.Fraction inputs."""
+    p, r = cls.p, cls.r
+    d = p - r
+    dm, s1, s2 = 1, 0, 0
+    w = []
+    for m in range(cls.tau):
+        s1 += (m + 1) * dm
+        s2 += m * dm
+        dm *= d
+        w.append(r * s1 / (1 + r * s2))
+    cap = stationary_index(cls)
+    for l in range(cls.tau - 1, -1, -1):
+        cap = w[l] = min(w[l], cap)
+    return w
 
 
 def whittle_index(cls: ChannelClass, s: BeliefState) -> float:
     """Whittle index of lattice point s.
 
-    OFF states sit strictly below the stationary belief and get strictly
-    increasing indices in age; every state at or above the stationary belief
-    (stationary itself and all ON ages) shares ``stationary_index``.
+    OFF states sit below the stationary belief and get indices nondecreasing
+    in age (strictly increasing in exact arithmetic); every state at or above
+    the stationary belief (stationary itself and all ON ages) shares
+    ``stationary_index``.
     """
     if s.kind != OFF:
         return stationary_index(cls)
-    l = s.age
-    return _off_index(cls.p, l, belief_value(cls, off_age(l)),
-                      belief_value(cls, off_age(l + 1)))
+    return _off_indices(cls)[s.age - 1]
 
 
 def subsidy_value(cls: ChannelClass, omega: float, threshold_age: int) -> float:
@@ -167,8 +175,10 @@ class IndexTable:
     """Whittle indices for every (class, lattice state) of a mix.
 
     values holds the full-layout vector (class 0 block then class 1 block,
-    each block in lattice layout order); ladder is the merged descending list
-    of distinct index values with ties grouped at TIE_TOL.
+    each block in lattice layout order).  ladder sorts the positions by
+    (value, depth) descending, depth being l for OffAge(l) and tau + 1 for
+    the stationary and ON states, and a rung is one run of equal (value,
+    depth): inside a class, the exact index order.
     """
 
     mix: ClassMix
@@ -181,25 +191,24 @@ class IndexTable:
 
 
 def build_index_table(mix: ClassMix) -> IndexTable:
-    """Index of every (class, lattice state), one pass per class over the OFF
-    beliefs b_1..b_{tau+1}, and the ladder merged from them."""
+    """Index of every (class, lattice state), one pass per class, and the
+    ladder merged from them."""
     tau = mix.tau
-    values = []  # full layout: OFF ages 1..tau, then stationary and ON ages
+    keys = []  # (value, depth) in full layout: OFF ages 1..tau, stationary, ON ages
     for cls in mix.classes:
-        b = belief_vector(cls)[:tau].tolist() + [belief_value(cls, off_age(tau + 1))]
-        values += [_off_index(cls.p, l, b[l - 1], b[l]) for l in range(1, tau + 1)]
-        values += [stationary_index(cls)] * (tau + 1)
-    rungs = []  # (value, positions), values descending, ties at TIE_TOL
-    for i in sorted(range(len(values)), key=values.__getitem__, reverse=True):  # stable
-        if rungs and rungs[-1][0] - values[i] <= TIE_TOL:
+        keys += zip(_off_indices(cls), range(1, tau + 1))
+        keys += [(stationary_index(cls), tau + 1)] * (tau + 1)
+    rungs = []  # (key, positions), keys descending
+    for i in sorted(range(len(keys)), key=keys.__getitem__, reverse=True):  # stable
+        if rungs and rungs[-1][0] == keys[i]:
             rungs[-1][1].append(i)
         else:
-            rungs.append((values[i], [i]))
+            rungs.append((keys[i], [i]))
     members = [(k, s) for k in range(mix.n_classes) for s in lattice_states(tau)]
     ladder = tuple(
         Rung(value=w, members=tuple([members[i] for i in pos]), positions=tuple(pos))
-        for w, pos in rungs
+        for (w, _), pos in rungs
     )
-    values = np.array(values)
+    values = np.array([w for w, _ in keys])
     values.flags.writeable = False
     return IndexTable(mix=mix, values=values, ladder=ladder)

@@ -3,10 +3,15 @@ reproducibility, exit codes, and the pipeline report."""
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import whittlesched
 from whittlesched.cli import main
 from whittlesched.presets import PRESETS, get_preset
 
@@ -158,16 +163,63 @@ def test_sweep_rejects_a_missing_or_unknown_kind(tmp_path, capsys, kind, message
     assert not list(tmp_path.glob("*.csv"))
 
 
+@pytest.mark.parametrize("command, kind, experiment", [
+    ("hitting-time", "hitting-time", {"epsilon": 0.1, "max_slots": 50}),
+    ("occupancy", "occupancy", {"epsilon": 0.1, "horizon": 20}),
+    ("deviation", "deviation", {"steps": 20}),
+    *[("sweep", kind, {"kind": kind, **rest}) for kind, rest in (
+        ("hitting-time", {"epsilon": 0.1, "max_slots": 50}),
+        ("occupancy", {"epsilon": 0.1, "horizon": 20}),
+        ("deviation", {"steps": 20}))],
+])
+def test_distance_kinds_reject_a_policy_other_than_whittle(tmp_path, capsys, command, kind,
+                                                           experiment):
+    base = {"n_users": 40, "seeds": [1], **experiment}
+    cfg = write_config(tmp_path, config(TWO_MIX, {**base, "policy": "relaxed"}))
+    assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == \
+        f"config error: {kind} runs the whittle policy, not 'relaxed'\n"
+    assert not list(tmp_path.glob("*.csv"))
+    cfg = write_config(tmp_path, config(TWO_MIX, {**base, "policy": "whittle"}))
+    assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 0
+
+
+def test_a_missing_mix_key_is_named_whatever_the_hash_seed(tmp_path):
+    cfg = write_config(tmp_path, config({"classes": SINGLE_MIX["classes"]}))
+    src = str(Path(whittlesched.__file__).resolve().parents[1])
+    errors = set()
+    for seed in ("0", "1", "2", "5"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-m", "whittlesched.cli", "index-table",
+                              "--config", cfg, "--out", str(tmp_path)],
+                             env=env, capture_output=True, text=True)
+        assert out.returncode == 2
+        errors.add(out.stderr)
+    assert errors == {"config error: mix is missing 'gamma'\n"}
+
+
 def test_library_fault_exits_1_and_is_not_a_config_error(tmp_path, capsys):
-    # A valid one-class mix that the library fails on: the OFF ages of
-    # (0.9, 0.85) tie with the ON states at float resolution, so linearize
-    # raises (the ladder-precision defect).  Once that is mended, point this
-    # test at another library fault.
-    mix = {"classes": [{"p": 0.9, "r": 0.85, "tau": 16}], "gamma": [1.0], "alpha": 0.5}
+    # A valid mix that the library fails on: identical classes share the
+    # crossing rung, where the fluid map is not affine, so linearize raises.
+    mix = {"classes": [{"p": 0.8, "r": 0.2, "tau": 16}] * 2, "gamma": [0.5, 0.5],
+           "alpha": 0.75}
     cfg = write_config(tmp_path, config(mix))
     assert main(["pipeline", "--config", cfg, "--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ValueError:") and "config error" not in err
+    assert err.startswith("error: ValueError: crossing rung is tied across classes")
+
+
+def test_pipeline_certifies_a_class_whose_deep_indices_round_together(tmp_path):
+    # the OFF indices of (0.9, 0.85) from age 10 on lie within 2e-13 of the
+    # stationary index; ordered by age they still form one rung each
+    mix = {"classes": [{"p": 0.9, "r": 0.85, "tau": 16}], "gamma": [1.0], "alpha": 0.5}
+    cfg = write_config(tmp_path, config(mix))
+    assert main(["pipeline", "--config", cfg, "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "pipeline_report.json").read_text())
+    assert report["status"] == "pass"
+    assert report["checks"]["stability"]["certified"]
+    assert report["relaxed"]["thresholds"][0]["threshold_age"] == 10
 
 
 # ---------------------------------------------------------------------------

@@ -477,3 +477,34 @@ def test_certificate_rejects_unreachable_powers():
         stability_certificate(-np.eye(3), powers=(48,))
     with pytest.raises(ValueError, match="repeated squaring"):
         stability_certificate(-np.eye(3), powers=(64, 100))
+
+
+@pytest.mark.parametrize("radius, certified", [(0.05, True), (20.0, False)])
+def test_certificate_estimates_stay_finite_at_extreme_radii(radius, certified):
+    # A = radius (I + N) with N nilpotent has spectral radius `radius`.  Its
+    # 256th power has norm near 1e-325 at 0.05, which underflows to zero, and
+    # near 1e341 at 20, which overflows, unless the squarings are rescaled.
+    A = radius * (np.eye(5) + np.diag(np.ones(4), 1))
+    cert = stability_certificate(A - np.eye(5))
+    values = [v for _, v in cert.estimates]
+    assert all(np.isfinite(values))
+    assert min(values) >= radius - 1e-12
+    assert cert.certified is certified
+
+
+def test_ladder_precision_mix_is_solved_and_certified():
+    # The OFF indices of (0.9, 0.85) from age 10 on lie within 2e-13 of the
+    # stationary index (3.4e-21 at age 16).  In their exact order every OFF
+    # age has its own rung, the fixed point is exact, and rho(A) = 0.050 is
+    # certified.
+    solution = solve_relaxed(ClassMix((ChannelClass(0.9, 0.85),), (1.0,), 0.5))
+    assert len(solution.table.ladder) == 17
+    assert not solution.degenerate
+    assert [(pol.threshold_age, pol.randomized) for pol in solution.policies] == [(10, True)]
+    model = FluidModel(solution.mix, solution.table)
+    assert np.linalg.norm(model.step(solution.zeta) - solution.zeta) < FIXED_POINT_TOL
+    lin = linearize(solution)
+    cert = stability_certificate(lin.u_star)
+    radius = max(abs(np.linalg.eigvals(lin.u_star + np.eye(len(lin.u_star)))))
+    assert cert.certified
+    assert min(v for _, v in cert.estimates) >= radius

@@ -17,7 +17,7 @@ from whittlesched.relaxed import (
     per_user_throughput,
     solve_relaxed,
 )
-from whittlesched.whittle import TIE_TOL, build_index_table
+from whittlesched.whittle import build_index_table
 
 ORACLE_TOL = 1e-10
 RHO_TOL = 1e-9
@@ -321,56 +321,55 @@ def _random_mixes(n, seed):
 
 def _slow_walk(mix, table):
     """The ladder walk the long way: at every rung, every class scans its OFF
-    ages for the first one within TIE_TOL of the rung, else the first above
-    it, and activation_fraction is called for each.  Returns omega*, the
-    thresholds, the randomized flags and the degenerate reason."""
+    ages for the one on the rung (the class attains it), else for the first
+    one on a rung above it, and activation_fraction is called for each.
+    Returns the crossing rung's index, the thresholds, the randomized flags
+    and the degenerate reason."""
     tau = mix.tau
-    vals = [[table.value(k, off_age(l)) for l in range(1, tau + 1)]
-            for k in range(mix.n_classes)]
+    rung_of = {m: j for j, rung in enumerate(table.ladder) for m in rung.members}
 
-    def threshold(k, omega):
+    def threshold(k, j):
         for l in range(1, tau + 1):
-            if abs(vals[k][l - 1] - omega) <= TIE_TOL:
+            if rung_of[k, off_age(l)] == j:
                 return l, True
         for l in range(1, tau + 1):
-            if vals[k][l - 1] > omega:
+            if rung_of[k, off_age(l)] < j:
                 return l, False
         return None, False
 
-    def total(omega, rho):
+    def total(j, rho):
         out = 0
         for k, (cls, g) in enumerate(zip(mix.classes, mix.gamma)):
-            h, tie = threshold(k, omega)
+            h, tie = threshold(k, j)
             out += g * (activation_fraction(cls, h, rho if tie else 1.0) if h else 0.0)
         return out
 
     none = ([None] * mix.n_classes, [False] * mix.n_classes)
     prev = 0.0
-    for rung in table.ladder:
-        f1 = total(rung.value, 1.0)
+    for j, rung in enumerate(table.ladder):
+        f1 = total(j, 1.0)
         if f1 >= mix.alpha - EQ_TOL:
             break
         prev = f1
     else:
-        omega = table.ladder[-1].value
-        return (omega, *none, f"total activation saturates at {prev:.6g} < alpha={mix.alpha}")
+        return (j, *none, f"total activation saturates at {prev:.6g} < alpha={mix.alpha}")
     omega = rung.value
-    f0 = total(omega, 0.0)
+    f0 = total(j, 0.0)
     if f0 > mix.alpha + EQ_TOL:
-        return (omega, *none, "threshold beyond truncation depth: activation jumps from "
+        return (j, *none, "threshold beyond truncation depth: activation jumps from "
                 f"{prev:.6g} to {f0:.6g} across rung {omega:.6g} while alpha={mix.alpha}")
-    pols = [threshold(k, omega) for k in range(mix.n_classes)]
+    pols = [threshold(k, j) for k in range(mix.n_classes)]
     att = [k for k, (_, tie) in enumerate(pols) if tie]
     randomizing = f1 > mix.alpha + EQ_TOL
     if randomizing and len({(mix.classes[k].p, mix.classes[k].r, pols[k][0]) for k in att}) > 1:
-        return (omega, *none, f"crossing rung {omega:.6g} is tied across distinct classes "
+        return (j, *none, f"crossing rung {omega:.6g} is tied across distinct classes "
                 f"{att}: the split of the budget between them is not unique")
     reason = None
     if any(h is None for h, _ in pols):
         reason = "transient class present"
     elif randomizing and any(pols[k][0] == tau for k in att):
         reason = "randomized threshold at truncation boundary"
-    return omega, [h for h, _ in pols], [tie for _, tie in pols], reason
+    return j, [h for h, _ in pols], [tie for _, tie in pols], reason
 
 
 def test_ladder_walk_matches_the_slow_walk():
@@ -381,8 +380,9 @@ def test_ladder_walk_matches_the_slow_walk():
     for mix in mixes:
         table = build_index_table(mix)
         sol = solve_relaxed(mix, table)
-        omega, thresholds, randomized, reason = _slow_walk(mix, table)
-        assert sol.omega_star == omega
+        j, thresholds, randomized, reason = _slow_walk(mix, table)
+        assert sol.crossing_rung == j
+        assert sol.omega_star == table.ladder[j].value
         assert [pol.threshold_age for pol in sol.policies] == thresholds
         assert [pol.randomized for pol in sol.policies] == randomized
         assert sol.degenerate_reason == reason
@@ -414,7 +414,7 @@ def test_distinct_classes_tied_on_the_crossing_rung_are_degenerate():
     assert sol.degenerate_reason == ("crossing rung 0.2 is tied across distinct classes "
                                      "[0, 1]: the split of the budget between them is "
                                      "not unique")
-    assert sol.omega_star == pytest.approx(0.2, abs=TIE_TOL)
+    assert sol.omega_star == 0.2
 
 
 @pytest.mark.parametrize("raw,clamped", [(-1e-17, 0.0), (1.0 + 2 ** -52, 1.0)])
