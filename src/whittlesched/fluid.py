@@ -73,6 +73,11 @@ class FluidModel:
         self._rung_starts = np.concatenate(([0], np.cumsum(sizes)[:-1])).astype(np.intp)
         self._rung_of = np.empty(self.dim, dtype=np.intp)  # ladder index per position
         self._rung_of[self._rung_order] = np.repeat(np.arange(len(sizes)), sizes)
+        # for the single-state walk: each position's slot in ladder order, and
+        # each rung's slots as Python ints
+        self._ladder_slot = np.empty(self.dim, dtype=np.intp)
+        self._ladder_slot[self._rung_order] = np.arange(self.dim)
+        self._rung_bounds = list(zip(self._rung_starts.tolist(), np.cumsum(sizes).tolist()))
         self._class_starts = (np.arange(mix.n_classes) * self.block).astype(np.intp)
         # where a slot moves mass: the idle mass of each state, then each
         # class's ON and OFF observations (no state ages into OnAge(1) or
@@ -103,15 +108,26 @@ class FluidModel:
 
     # -- the fluid map ---------------------------------------------------
 
+    def _ladder_sums(self, z: np.ndarray):
+        """Masses in ladder order, per rung, and cumulated down the ladder
+        (cum[j] is the mass on rungs 0..j, added in that order), for one
+        state or row by row for a batch.  activation_profile, the walk in
+        step and in_linear_region all read these sums."""
+        zs = z.take(self._rung_order, axis=-1)
+        zr = np.add.reduceat(zs, self._rung_starts, axis=-1)
+        return zs, zr, np.add.accumulate(zr, axis=-1)
+
     def activation_profile(self, z: np.ndarray) -> np.ndarray:
         """Scheduled fraction g_i of each state's mass, for one state (dim,)
         or row by row for a batch (S, dim): pour alpha down the ladder; rungs
         with no mass soak up nothing but still read g = 1 while budget
-        remains (so g is ladder-monotone)."""
-        z = np.asarray(z, dtype=float)
-        zr = np.add.reduceat(z.take(self._rung_order, axis=-1), self._rung_starts, axis=-1)
+        remains (so g is ladder-monotone).  This is the reference path of
+        ``step``: it serves batches and states with a negative entry, and
+        ``step`` walks any other single state to its marginal rung with the
+        same float operations, so both give the same bytes."""
+        _, zr, cum = self._ladder_sums(np.asarray(z, dtype=float))
         above = np.zeros(zr.shape)  # mass on the rungs above each rung
-        np.add.accumulate(zr[..., :-1], axis=-1, out=above[..., 1:])
+        above[..., 1:] = cum[..., :-1]
         remaining = self.alpha - above
         frac = (remaining > 0.0).astype(float)  # the value of an empty rung
         np.divide(remaining, zr, out=frac, where=zr != 0.0)
@@ -119,12 +135,37 @@ class FluidModel:
         np.minimum(frac, 1.0, out=frac)
         return frac.take(self._rung_of, axis=-1)
 
+    def _served_walk(self, z: np.ndarray) -> np.ndarray:
+        """Served mass of one non-negative state (dim,).  The marginal rung
+        is the first whose cumulative mass reaches alpha; it gets the clamped
+        fraction activation_profile gives it, the rungs above it are served
+        in full and those below not at all.  Non-negative mass keeps the
+        cumulative sums sorted for the search, and makes the profile read
+        exactly 1 above the marginal rung and 0 below it."""
+        zs, zr, cum = self._ladder_sums(z)
+        k = int(cum.searchsorted(self.alpha))
+        if k < len(cum):  # otherwise the budget covers every rung
+            above = cum.item(k - 1) if k else 0.0
+            frac = min(max((self.alpha - above) / zr.item(k), 0.0), 1.0)
+            start, stop = self._rung_bounds[k]
+            for i in range(start, stop):  # on one or two positions, cheaper than a slice
+                zs[i] *= frac
+            zs[stop:] = 0.0
+        return zs.take(self._ladder_slot)
+
     def step(self, z: np.ndarray) -> np.ndarray:
         """One slot of the fluid map for one state (dim,) or row by row for a
         batch (S, dim); each row is bit-identical to stepping it alone
-        (O(dim) per row, no matrix assembly)."""
+        (O(dim) per row, no matrix assembly).  A single state with no
+        negative entry is served by walking the ladder to its marginal rung;
+        a batch, or a state with the small negative mass ``validate`` allows,
+        through activation_profile, the reference.  Both give the same
+        bytes."""
         z = np.asarray(z, dtype=float)
-        served = self.activation_profile(z) * z
+        if z.ndim == 1 and z.min() >= 0.0:
+            served = self._served_walk(z)
+        else:
+            served = self.activation_profile(z) * z
         on_mass = np.add.reduceat(served * self.beliefs, self._class_starts, axis=-1)
         off_mass = np.add.reduceat(served, self._class_starts, axis=-1) - on_mass
         moved = np.concatenate((z - served, on_mass, off_mass), axis=-1)
@@ -166,12 +207,12 @@ class FluidModel:
 
     def in_linear_region(self, z: np.ndarray, rung_idx: int) -> bool:
         """True when the budget pins this rung as the marginal one: everything
-        strictly above is fully served, the rung itself only partially."""
-        above = 0.0
-        for j in range(rung_idx):
-            above += z[self.rungs[j][1]].sum()
-        rung_mass = z[self.rungs[rung_idx][1]].sum()
-        return above < self.alpha <= above + rung_mass
+        strictly above is fully served, the rung itself only partially.  The
+        masses are summed down the ladder as ``step`` sums them, so for a
+        non-negative state this is the rung its walk stops at."""
+        cum = self._ladder_sums(np.asarray(z, dtype=float))[2]
+        above = cum[rung_idx - 1] if rung_idx else 0.0  # mass above the rung
+        return bool(above < self.alpha <= cum[rung_idx])
 
 
 # ---------------------------------------------------------------------------
@@ -498,7 +539,8 @@ def fluid_trajectory(z0: np.ndarray, steps: int, table: IndexTable,
     path = np.empty((steps + 1, model.dim)) if store_path else None
     for t in range(steps + 1):
         if zeta is not None:
-            dists[t] = np.linalg.norm(z - zeta)
+            x = z - zeta
+            dists[t] = math.sqrt(x.dot(x))  # np.linalg.norm(x), bit for bit
         if region is not None:
             inreg[t] = region[0].in_linear_region(z, region[1])
         if store_path:

@@ -1,6 +1,7 @@
 """Mean-field dynamics tests: activation profile, slot map, fixed points,
 affine structure on the marginal-rung region, and stability certificates."""
 
+import hashlib
 import json
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from whittlesched import (
     ClassMix,
     FluidModel,
     analytic_blocks,
+    build_index_table,
     fluid_trajectory,
     linearize,
     off_age,
@@ -31,6 +33,10 @@ CLASS_MASS_TOL = 1e-12
 DECAY_TOL = 1e-8
 
 PRESET_NAMES = ["single", "two"]
+
+# two identical classes: every rung of the ladder is tied across them
+IDENTICAL_CLASSES = ClassMix(classes=(ChannelClass(0.8, 0.2),) * 2,
+                             gamma=(0.5, 0.5), alpha=0.75)
 
 # frozen from the canonical two-class linearization (Frobenius Gelfand
 # estimates of the closed-loop matrix U* + I at powers 64/128/256)
@@ -65,6 +71,60 @@ def random_state(model, rng):
         sl = model.class_slice(k)
         z[sl] = model.mix.gamma[k] * rng.dirichlet(np.ones(model.block))
     return z
+
+
+def named_mix(name):
+    """A preset's mix, or the identical-classes one."""
+    if name == "identical-classes":
+        return IDENTICAL_CLASSES
+    return parse_mix(get_preset(name)["mix"])
+
+
+def corner(model, offset):
+    """All of each class's mass on one state: offset 0 is OffAge(1) (start
+    x), offset tau the stationary state (start y)."""
+    z = np.zeros(model.dim)
+    z[offset + model.block * np.arange(model.mix.n_classes)] = model.mix.gamma
+    return z
+
+
+def marginal_rung(model, z):
+    return next(j for j in range(len(model.rungs)) if model.in_linear_region(z, j))
+
+
+def boundary_state(model, j):
+    """A state whose cumulative rung mass meets alpha exactly at the bottom
+    of rung j: alpha/2 on the top rung and alpha/2 on rung j (both halves on
+    the top rung when j is 0), the rest of a unit mass on the bottom rung.
+    Halving is exact, so the ladder sums reach alpha exactly."""
+    z = np.zeros(model.dim)
+    z[model.rungs[0][1][0]] = model.alpha / 2
+    z[model.rungs[j][1][-1]] += model.alpha / 2
+    z[model.rungs[-1][1][0]] += 1.0 - model.alpha
+    return z
+
+
+def edge_states(model, rng):
+    """States on which the single-state walk of ``step`` could part from the
+    batch path: the corners (zero-mass rungs above and at the marginal one),
+    a state with every other rung empty, states whose ladder sums meet
+    alpha exactly at a rung boundary, and the x corner carrying -5e-10 (as
+    ``validate`` allows) on a rung above its marginal one."""
+    states = [corner(model, 0), corner(model, model.tau)]
+    z = random_state(model, rng)
+    for _, pos in model.rungs[1::2]:
+        z[pos] = 0.0
+    states.append(z)
+    n_rungs = len(model.rungs)
+    states += [boundary_state(model, j) for j in (0, 1, n_rungs // 2, n_rungs - 2)]
+    z = corner(model, 0)
+    p = model.rungs[1][1][0]
+    assert marginal_rung(model, z) > 1 and z[p] == 0.0
+    z[p] = -5e-10
+    z[p - p % model.block] += 5e-10  # the class's OffAge(1)
+    model.validate(z)
+    states.append(z)
+    return np.stack(states)
 
 
 def region_point(model, zeta, rung_idx, rng, scale=2e-3):
@@ -162,16 +222,19 @@ def test_transition_matrix_matches_step(preset, seed):
     assert z + q @ z == pytest.approx(model.step(z), abs=1e-13)
 
 
-@pytest.mark.parametrize("name", ["single-class", "two-class", "fig5"])
+@pytest.mark.parametrize("name", ["single-class", "two-class", "fig5", "identical-classes"])
 def test_batched_step_rows_equal_single_steps(name):
-    model = FluidModel(parse_mix(get_preset(name)["mix"]))
+    """A batch is served through activation_profile and a single state by
+    the ladder walk; every row must come out with the same bytes."""
+    model = FluidModel(named_mix(name))
     rng = np.random.default_rng(11)
-    batch = np.stack([random_state(model, rng) for _ in range(20)])
+    batch = np.concatenate([edge_states(model, rng),
+                            [random_state(model, rng) for _ in range(20)]])
     for _ in range(120):
         nxt = model.step(batch)
         assert nxt.shape == batch.shape
         for row, z in zip(nxt, batch):
-            assert np.array_equal(row, model.step(z))
+            assert row.tobytes() == model.step(z).tobytes()
         batch = nxt
 
 
@@ -295,6 +358,109 @@ def test_trajectory_validates_start(single_table):
     z0[0] = -0.5
     with pytest.raises(ValueError, match="negative"):
         fluid_trajectory(z0, 5, single_table)
+
+
+# sha256 of distances, final, path and in_region (in that order) of a
+# 300-step fluid_trajectory, recorded before the single-state ladder walk
+TRAJECTORY_STEPS = 300
+TRAJECTORY_DIGESTS = {
+    ("single-class", "x"):
+        "12af9203d28a100899b1fa0e2ea82a138f7e373f622114424b7eecdca3689dd4",
+    ("single-class", "y"):
+        "05ec4aaed523c37438096b62fa0c2c0b67f408286067d287382e7bce3060017b",
+    ("single-class", "dirichlet"):
+        "d549209c1a2242bd6ed76d28090c804c2824f90c94a495814cb0b865329e0481",
+    ("single-class", "near-zeta"):
+        "32b6999d30cb7fc5d3975047ab34cad3d74b2f3526279a55f0fdbf46d7b712fa",
+    ("two-class", "x"):
+        "79c8a2be19bb559264ae71aa73b323e51c23d16797b870e0a7c77bb80b5e4f25",
+    ("two-class", "y"):
+        "4ae80bedf522299eaca35cc840fb13f63397273edccb6af3bb734f551e1489da",
+    ("two-class", "dirichlet"):
+        "8fdf6684f4f049cd99a537bac4c476f52a64c0b12dc8969b743335376d11deeb",
+    ("two-class", "near-zeta"):
+        "85186e3f32eb7951a1887b71b86a5c9d38c3b51f0ceaa9a8baab2a118a792320",
+    ("fig5", "x"):
+        "6e8a0004ef9e2821d0d71f6b6662b40f893d8d8ec291414802a588a1d1307d23",
+    ("fig5", "y"):
+        "3509dd0a9fc3708b52ca9ef14da423fe77f35df8fe87d73a400e9b18f8aa2336",
+    ("fig5", "dirichlet"):
+        "1fc161e883817cb054fe17e4bc621916d12708b3031807154f888ab34e91bd16",
+    ("fig5", "near-zeta"):
+        "d12ff46f324aea1ff11914d9cd57a6681e40e9a20d0826877a47ca2a648c0cd4",
+    ("identical-classes", "x"):
+        "cd9396981fd5961cfa6557394f78f1a36cb8389642686c4a922c71fb92e17c8e",
+    ("identical-classes", "y"):
+        "80899b19c2d4dc6ed3e8203e55553bd50dc30720147354f6e2f22b0328d1c0a2",
+    ("identical-classes", "dirichlet"):
+        "c70af85984f21422648a25c7d2245308c6a0b9749e74a893d72d5cf4c5158032",
+    ("identical-classes", "near-zeta"):
+        "828b9a9175a6c3709997cb2d8d3086562d11616054a52c10d7ebcab31c556836",
+}
+
+
+def trajectory_digest(name, start):
+    mix = named_mix(name)
+    table = build_index_table(mix)
+    solution = solve_relaxed(mix, table)
+    model = FluidModel(mix, table)
+    zeta = solution.zeta
+    rng = np.random.default_rng(2024)
+    starts = {"x": corner(model, 0), "y": corner(model, model.tau),
+              "dirichlet": random_state(model, rng)}
+    w = random_state(model, rng)
+    starts["near-zeta"] = zeta + 1e-3 / np.linalg.norm(w - zeta) * (w - zeta)
+    traj = fluid_trajectory(starts[start], TRAJECTORY_STEPS, table, zeta=zeta,
+                            region=(model, model.crossing_rung(solution)),
+                            store_path=True)
+    digest = hashlib.sha256()
+    for part in (traj.distances, traj.final, traj.path, traj.in_region):
+        digest.update(part.tobytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("name,start", sorted(TRAJECTORY_DIGESTS))
+def test_trajectory_bytes_are_pinned(name, start):
+    assert trajectory_digest(name, start) == TRAJECTORY_DIGESTS[name, start]
+
+
+# ---------------------------------------------------------------------------
+# marginal-rung region
+
+
+def region_by_rung_sums(model, z, rung_idx):
+    """in_linear_region as a loop over the rungs, each a numpy sum."""
+    above = 0.0
+    for j in range(rung_idx):
+        above += z[model.rungs[j][1]].sum()
+    return above < model.alpha <= above + z[model.rungs[rung_idx][1]].sum()
+
+
+@pytest.mark.parametrize("name", ["single-class", "two-class", "fig5", "identical-classes"])
+def test_region_is_the_rung_the_profile_serves_partially(name):
+    model = FluidModel(named_mix(name))
+    rng = np.random.default_rng(5)
+    states = [*edge_states(model, rng), *(random_state(model, rng) for _ in range(50))]
+    for z in states:
+        inside = [model.in_linear_region(z, j) for j in range(len(model.rungs))]
+        assert inside == [region_by_rung_sums(model, z, j) for j in range(len(model.rungs))]
+        assert sum(inside) == (z.sum() >= model.alpha)
+        if any(inside) and z.min() >= 0.0:
+            k = inside.index(True)
+            g = [model.activation_profile(z)[pos[0]] for _, pos in model.rungs]
+            assert all(v == 1.0 for v in g[:k]) and all(v == 0.0 for v in g[k + 1:])
+
+
+@pytest.mark.parametrize("name", ["single-class", "two-class", "fig5", "identical-classes"])
+def test_region_boundaries_are_exact(name):
+    model = FluidModel(named_mix(name))
+    for j in range(len(model.rungs) - 1):
+        z = boundary_state(model, j)
+        # alpha equals the mass down to the bottom of rung j: rung j's region
+        # includes that boundary, rung j + 1's excludes it
+        assert model.in_linear_region(z, j) and region_by_rung_sums(model, z, j)
+        assert not model.in_linear_region(z, j + 1)
+        assert not region_by_rung_sums(model, z, j + 1)
 
 
 # ---------------------------------------------------------------------------
