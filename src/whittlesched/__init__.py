@@ -13,6 +13,7 @@ from .belief import (
     ClassMix,
     belief_value,
     belief_vector,
+    lattice_moves,
     lattice_position,
     lattice_states,
     off_age,
@@ -70,6 +71,7 @@ __all__ = [
     "ClassMix",
     "belief_value",
     "belief_vector",
+    "lattice_moves",
     "lattice_position",
     "lattice_states",
     "off_age",

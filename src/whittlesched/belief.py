@@ -159,6 +159,19 @@ def belief_vector(cls: ChannelClass) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=None)
+def lattice_moves(cls: ChannelClass) -> tuple[np.ndarray, int, int]:
+    """Where a user moves in one slot, as layout positions (cached per class):
+    the idle successor of every lattice point (``step_idle``), and the points
+    an observed user resets to, OnAge(1) and OffAge(1) (``step_feedback``)."""
+    tau = cls.tau
+    idle = np.array([lattice_position(step_idle(cls, s), tau) for s in lattice_states(tau)],
+                    dtype=np.intp)
+    idle.flags.writeable = False
+    return (idle, lattice_position(step_feedback(True), tau),
+            lattice_position(step_feedback(False), tau))
+
+
 @dataclass(frozen=True)
 class ClassMix:
     """A population mix: one or two channel classes with fractions gamma

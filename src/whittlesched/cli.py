@@ -70,6 +70,13 @@ _EXPERIMENT_KEYS = {
 }
 
 
+def _integer(v) -> int:
+    """int(v) for a count, seed or depth, refusing a float it would truncate."""
+    if isinstance(v, float) and not v.is_integer():
+        raise ValueError(f"expected an integer, got {v!r}")
+    return int(v)
+
+
 def _reject_unknown(d: dict, allowed: set | tuple, where: str):
     unknown = set(d).difference(allowed)
     if unknown:
@@ -92,7 +99,7 @@ def parse_mix(d: dict) -> ClassMix:
         _reject_unknown(c, _CLASS_KEYS, "class")
         try:
             classes.append(ChannelClass(p=float(c["p"]), r=float(c["r"]),
-                                        tau=int(c.get("tau", 16))))
+                                        tau=_integer(c.get("tau", 16))))
         except (KeyError, ValueError) as e:
             raise ConfigError(f"bad class parameters: {e}") from e
     try:
@@ -268,23 +275,23 @@ def _distance_csv(name, param, column):
 # (SimConfig, start label, result) per run.
 _KINDS = {
     "throughput": (
-        (("horizon", int, None),), run_throughput, (), False,
+        (("horizon", _integer, None),), run_throughput, (), False,
         (("simulate.csv", ["n_users", "seed", "policy", "engine", "slots_averaged",
                            "belief_throughput", "realized_throughput", "activation",
                            "relaxed_bound"], _throughput_rows),
          ("throughput_sweep.csv", ["n_users", "seeds", "belief_throughput_mean", "se",
                                    "relaxed_bound", "gap"], _throughput_summary))),
     "hitting-time": (
-        (("epsilon", float, None), ("max_slots", int, 100000)), hitting_time,
+        (("epsilon", float, None), ("max_slots", _integer, 100000)), hitting_time,
         ("epsilon", "zeta", "max_slots"), True,
         (_distance_csv("hitting_times.csv", "epsilon", "hit_slot"),
          ("hitting_summary.csv", ["n_users", "start", "mean", "se", "seeds", "misses",
                                   "epsilon"], _hitting_summary))),
     "occupancy": (
-        (("epsilon", float, None), ("horizon", int, None)), occupancy, ("epsilon", "zeta"),
+        (("epsilon", float, None), ("horizon", _integer, None)), occupancy, ("epsilon", "zeta"),
         True, (_distance_csv("occupancy.csv", "epsilon", "occupancy"),)),
     "deviation": (
-        (("steps", int, None),), trajectory_deviation, ("steps",), True,
+        (("steps", _integer, None),), trajectory_deviation, ("steps",), True,
         (_distance_csv("deviation.csv", "steps", "sup_deviation"),)),
 }
 
@@ -314,8 +321,8 @@ def run_experiment(cfg: dict, out_dir: str, command: str) -> int:
     with _config_values():
         for key, cast, default in reads:
             v[key] = cast(_need(exp, key, command) if default is None else exp.get(key, default))
-        n_list = [int(n) for n in _as_list(_need(exp, "n_users", command))]
-        seeds = [int(s) for s in _need(exp, "seeds", command)]
+        n_list = [_integer(n) for n in _as_list(_need(exp, "n_users", command))]
+        seeds = [_integer(s) for s in _need(exp, "seeds", command)]
         starts = _as_list(exp.get("starts", ["x"])) if distance else \
             [exp.get("initial_state", "x")]
         configs, labels = [], []
@@ -386,9 +393,9 @@ def cmd_pipeline(cfg: dict, out_dir: str, command="pipeline") -> int:
             }
         if exp.get("with_simulation"):
             with _config_values():
-                horizon = int(exp.get("horizon", 20000))
-                n_users = int(exp.get("n_users", 10000))
-                seeds = [int(s) for s in exp.get("seeds", list(range(1, 11)))]
+                horizon = _integer(exp.get("horizon", 20000))
+                n_users = _integer(exp.get("n_users", 10000))
+                seeds = [_integer(s) for s in exp.get("seeds", list(range(1, 11)))]
                 configs = [SimConfig(mix=mix, n_users=n_users, horizon=horizon, seed=s,
                                      engine=exp.get("engine", "pooled")) for s in seeds]
             results = run_many(run_throughput, configs, table, solution)

@@ -18,9 +18,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .belief import (
+    STATIONARY,
     ClassMix,
     belief_value,
     belief_vector,
+    lattice_moves,
     lattice_position,
     lattice_states,
     off_age,
@@ -29,6 +31,7 @@ from .whittle import IndexTable, build_index_table
 from .relaxed import RelaxedSolution
 
 MASS_TOL = 1e-9  # state-vector validation slack
+GELFAND_POWERS = (64, 128, 256)  # the certificate's K: powers of two, reached by squaring
 
 
 class FluidModel:
@@ -44,29 +47,16 @@ class FluidModel:
         self.block = 2 * self.tau + 1
         self.dim = mix.n_classes * self.block
         self.alpha = mix.alpha
-        self.gamma = np.array(mix.gamma)
         self.beliefs = np.concatenate([belief_vector(c) for c in mix.classes])
-        self.p = np.array([c.p for c in mix.classes])
-        self.r = np.array([c.r for c in mix.classes])
-        # rungs as (value, positions) with positions ascending for determinism
-        self.rungs = [
-            (rung.value, np.array(sorted(rung.positions), dtype=np.intp))
-            for rung in table.ladder
-        ]
-        # idle successor position for every state
-        self.age_to = np.empty(self.dim, dtype=np.intp)
-        tau = self.tau
-        for k in range(mix.n_classes):
-            base = k * self.block
-            for i in range(self.block):
-                if i < tau - 1:          # OffAge(l) -> OffAge(l+1)
-                    self.age_to[base + i] = base + i + 1
-                elif i in (tau - 1, tau, tau + 1):  # OffAge(tau), stationary, OnAge(tau)
-                    self.age_to[base + i] = base + tau
-                else:                    # OnAge(l) -> OnAge(l+1): one slot left
-                    self.age_to[base + i] = base + i - 1
-        self.on1 = np.array([k * self.block + 2 * tau for k in range(mix.n_classes)])
-        self.off1 = np.array([k * self.block for k in range(mix.n_classes)])
+        # rungs as (value, positions), positions ascending as the table lists them
+        self.rungs = [(rung.value, np.array(rung.positions, dtype=np.intp))
+                      for rung in table.ladder]
+        # each state's idle successor and each class's OnAge(1) and OffAge(1)
+        self._class_starts = np.arange(mix.n_classes, dtype=np.intp) * self.block
+        idle, on1, off1 = zip(*map(lattice_moves, mix.classes))
+        self.age_to = np.concatenate(idle) + np.repeat(self._class_starts, self.block)
+        self.on1 = np.array(on1) + self._class_starts
+        self.off1 = np.array(off1) + self._class_starts
         # flattened ladder layout so the profile and the step stay in numpy
         self._rung_order = np.concatenate([pos for _, pos in self.rungs])
         sizes = np.array([len(pos) for _, pos in self.rungs], dtype=np.intp)
@@ -78,7 +68,6 @@ class FluidModel:
         self._ladder_slot = np.empty(self.dim, dtype=np.intp)
         self._ladder_slot[self._rung_order] = np.arange(self.dim)
         self._rung_bounds = list(zip(self._rung_starts.tolist(), np.cumsum(sizes).tolist()))
-        self._class_starts = (np.arange(mix.n_classes) * self.block).astype(np.intp)
         # where a slot moves mass: the idle mass of each state, then each
         # class's ON and OFF observations (no state ages into OnAge(1) or
         # OffAge(1), so those bins hold the observations alone).  step grows
@@ -220,18 +209,6 @@ class FluidModel:
 
 
 @dataclass(frozen=True)
-class RegionSpec:
-    """Description of the state-space region on which the linearization is
-    exact: the rung valued omega_star is marginal, i.e. the mass strictly
-    above it is below alpha and the rung tops the budget up."""
-
-    omega_star: float
-    rung_positions: tuple[int, ...]
-    above_positions: tuple[int, ...]
-    text: str
-
-
-@dataclass(frozen=True)
 class LinearizedSystem:
     """Exact affine form of the fluid map around the fixed point.
 
@@ -245,9 +222,7 @@ class LinearizedSystem:
     u_star: np.ndarray = field(repr=False)
     b_star: np.ndarray = field(repr=False)
     eliminated: tuple[int, ...]
-    region: RegionSpec
     zeta: np.ndarray = field(repr=False)
-    zeta_reduced: np.ndarray = field(repr=False)
 
     def reduce(self, z: np.ndarray) -> np.ndarray:
         return np.delete(z, list(self.eliminated))
@@ -267,7 +242,7 @@ def _eliminated_coordinates(model: FluidModel, solution: RelaxedSolution) -> lis
         elif pol.threshold_age is not None and pol.threshold_age >= 2:
             out.append(model.position(k, off_age(pol.threshold_age - 1)))
         else:
-            out.append(k * model.block + model.tau)  # stationary coordinate
+            out.append(model.position(k, STATIONARY))
     return out
 
 
@@ -307,14 +282,6 @@ def linearize(solution: RelaxedSolution,
     a_star = model.alpha * reset[:, rung]
     J[:, above] += reset[:, above] - reset[:, [rung]]
 
-    region = RegionSpec(
-        omega_star=solution.omega_star,
-        rung_positions=(rung,),
-        above_positions=tuple(above),
-        text=(f"sum(z[above]) < alpha <= sum(z[above]) + sum(z[rung]) with "
-              f"rung value {solution.omega_star!r}"),
-    )
-
     zeta = solution.zeta
     elim = _eliminated_coordinates(model, solution)
     keep = [i for i in range(d) if i not in elim]
@@ -325,17 +292,14 @@ def linearize(solution: RelaxedSolution,
     u_star[np.diag_indices(len(keep))] -= 1.0
     q_star = J
     q_star[np.diag_indices(d)] -= 1.0
-    zeta_reduced = zeta[keep]
-    b_star = -(u_star @ zeta_reduced)
+    b_star = -(u_star @ zeta[keep])
     return LinearizedSystem(
         q_star=q_star,
         a_star=a_star,
         u_star=u_star,
         b_star=b_star,
         eliminated=tuple(elim),
-        region=region,
         zeta=zeta,
-        zeta_reduced=zeta_reduced,
     )
 
 
@@ -474,35 +438,32 @@ def analytic_blocks(solution: RelaxedSolution) -> AnalyticBlocks:
 
 @dataclass(frozen=True)
 class StabilityCertificate:
-    """Gelfand-style spectral radius estimates rho_K = ||(U*+I)^K||_F^(1/K).
-    Certified means every estimate is below one and none increases in K, so
-    the true spectral radius (their infimum) is below one as well."""
+    """Gelfand-style spectral radius estimates rho_K = ||(U*+I)^K||_F^(1/K)
+    at K in GELFAND_POWERS.  Certified means every estimate is below one and
+    none increases in K, so the true spectral radius (their infimum) is below
+    one as well."""
 
     estimates: tuple[tuple[int, float], ...]
     certified: bool
     note: str
 
 
-def stability_certificate(u_star: np.ndarray,
-                          powers: tuple[int, ...] = (64, 128, 256)) -> StabilityCertificate:
+def stability_certificate(u_star: np.ndarray) -> StabilityCertificate:
     A = u_star + np.eye(u_star.shape[0])
-    # repeated squaring; powers must be increasing powers of two times the
-    # first.  A^k is P * 2^shift: before each squaring P is scaled by a power of
-    # two (exactly) to a norm in [1/2, 1), so it neither underflows to zero
-    # nor overflows
+    # repeated squaring.  A^k is P * 2^shift: before each squaring P is scaled
+    # by a power of two (exactly) to a norm in [1/2, 1), so it neither
+    # underflows to zero nor overflows
     ests = []
     P = A
     shift = 0
     k = 1
-    for K in powers:
+    for K in GELFAND_POWERS:
         while k < K:
             s = math.frexp(np.linalg.norm(P))[1]
             P = np.ldexp(P, -s)
             P = P @ P
             shift = 2 * (shift + s)
             k *= 2
-        if k != K:
-            raise ValueError("powers must be reachable by repeated squaring")
         ests.append((K, float(np.linalg.norm(P, "fro") ** (1.0 / K) * 2.0 ** (shift / K))))
     below = all(e < 1.0 for _, e in ests)
     # non-strict: nilpotent-style cases sit at an exact constant (e.g. all
@@ -522,29 +483,24 @@ def stability_certificate(u_star: np.ndarray,
 class FluidTrajectory:
     distances: np.ndarray = field(repr=False)  # ||z_t - zeta||_2, length T+1 (empty if no zeta)
     final: np.ndarray = field(repr=False)
-    in_region: np.ndarray = field(repr=False)  # bool per step, if a region was given
     path: np.ndarray | None = field(default=None, repr=False)
 
 
 def fluid_trajectory(z0: np.ndarray, steps: int, table: IndexTable,
                      zeta: np.ndarray | None = None,
-                     region: tuple[FluidModel, int] | None = None,
                      store_path: bool = False) -> FluidTrajectory:
     """Iterate the fluid map for the given number of slots."""
     model = FluidModel(table.mix, table)
     model.validate(z0)
     z = np.array(z0, dtype=float)
     dists = np.empty(steps + 1) if zeta is not None else np.empty(0)
-    inreg = np.empty(steps + 1, dtype=bool) if region is not None else np.empty(0, dtype=bool)
     path = np.empty((steps + 1, model.dim)) if store_path else None
     for t in range(steps + 1):
         if zeta is not None:
             x = z - zeta
             dists[t] = math.sqrt(x.dot(x))  # np.linalg.norm(x), bit for bit
-        if region is not None:
-            inreg[t] = region[0].in_linear_region(z, region[1])
         if store_path:
             path[t] = z
         if t < steps:
             z = model.step(z)
-    return FluidTrajectory(distances=dists, final=z, in_region=inreg, path=path)
+    return FluidTrajectory(distances=dists, final=z, path=path)

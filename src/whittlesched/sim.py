@@ -39,7 +39,7 @@ from operator import itemgetter, mul
 
 import numpy as np
 
-from .belief import ClassMix
+from .belief import STATIONARY, ClassMix, off_age
 from .fluid import MASS_TOL, FluidModel, fluid_trajectory
 from .relaxed import RelaxedSolution, solve_relaxed
 from .whittle import IndexTable, build_index_table
@@ -65,6 +65,10 @@ class SimConfig:
             raise ValueError(f"unknown policy {self.policy!r}")
         if self.engine not in ("pooled", "users"):
             raise ValueError(f"unknown engine {self.engine!r}")
+        for name in ("n_users", "horizon", "seed", "burn_in"):
+            v = getattr(self, name)
+            if isinstance(v, float) and not v.is_integer():
+                raise ValueError(f"{name} must be an integer, got {v!r}")
         if self.n_users < 1 or self.horizon < 1:
             raise ValueError("n_users and horizon must be positive")
         if self.burn_in is not None and not 0 <= self.burn_in < self.horizon:
@@ -106,18 +110,22 @@ class SimConfig:
 
 def lattice_round(z: np.ndarray, mix: ClassMix, n_users: int) -> np.ndarray:
     """Nearest state vector on the 1/N mesh with exact per-class counts
-    (largest-remainder rounding within each class block)."""
+    (largest-remainder rounding within each class block).  Each class must
+    carry its mass gamma_k to within MASS_TOL: the rounding moves at most one
+    user per state."""
     z = np.asarray(z, dtype=float)
     out = np.empty_like(z)
     block = 2 * mix.tau + 1
     for k, g in enumerate(mix.gamma):
         sl = slice(k * block, (k + 1) * block)
+        mass = z[sl].sum()
+        if abs(mass - g) > MASS_TOL:
+            raise ValueError(f"class {k} mass {mass} "
+                             f"{'exceeds' if mass > g else 'falls short of'} gamma_{k} = {g}")
         target = round(g * n_users)
         raw = z[sl] * n_users
         base = np.floor(raw).astype(int)
         short = target - base.sum()
-        if short < 0:
-            raise ValueError("class mass exceeds gamma_k")
         rema = raw - base
         order = np.argsort(-rema, kind="stable")
         base[order[:short]] += 1
@@ -166,14 +174,10 @@ class _EngineBase:
     def _initial_counts(self) -> np.ndarray:
         cfg = self.config
         counts = np.zeros(self.model.dim, dtype=np.int64)
-        block = self.model.block
         if isinstance(cfg.initial_state, str):
+            start = off_age(1) if cfg.initial_state == "all_off_observed" else STATIONARY
             for k, g in enumerate(self.mix.gamma):
-                nk = round(g * self.n)
-                if cfg.initial_state == "all_off_observed":
-                    counts[k * block] = nk  # OffAge(1)
-                else:
-                    counts[k * block + self.mix.tau] = nk  # stationary
+                counts[self.model.position(k, start)] = round(g * self.n)
         else:
             z = lattice_round(np.asarray(cfg.initial_state, dtype=float), self.mix, self.n)
             counts = np.round(z * self.n).astype(np.int64)
@@ -322,8 +326,8 @@ class UserEngine(_EngineBase):
                              [round(g * self.n) for g in self.mix.gamma])
         assert self.state.shape == (self.n,)
         self.bits = self.rng.random(self.n) < self.model.beliefs[self.state]
-        self.p_user = np.array(self.model.p)[self.cls]
-        self.r_user = np.array(self.model.r)[self.cls]
+        self.p_user = np.array([c.p for c in self.mix.classes])[self.cls]
+        self.r_user = np.array([c.r for c in self.mix.classes])[self.cls]
         self.on1_user = np.array(self.model.on1)[self.cls]
         self.off1_user = np.array(self.model.off1)[self.cls]
 

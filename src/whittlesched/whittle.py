@@ -12,7 +12,6 @@ cross-check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -23,10 +22,10 @@ from .belief import (
     ClassMix,
     belief_value,
     belief_vector,
+    lattice_moves,
     lattice_position,
     lattice_states,
     off_age,
-    step_idle,
 )
 
 ORACLE_SPAN_TOL = 1e-10
@@ -89,21 +88,6 @@ def subsidy_value(cls: ChannelClass, omega: float, threshold_age: int) -> float:
 # numerical oracle: relative value iteration on the subsidy MDP
 
 
-@lru_cache(maxsize=None)
-def _subsidy_mdp(cls: ChannelClass):
-    """Static arrays of the subsidy MDP on the truncated lattice: beliefs,
-    the idle successor map, and the two feedback target indices."""
-    tau = cls.tau
-    states = lattice_states(tau)
-    beliefs = belief_vector(cls)
-    idle_next = np.empty(len(states), dtype=np.intp)
-    for i, s in enumerate(states):
-        idle_next[i] = lattice_position(step_idle(cls, s), tau)
-    i_on1 = lattice_position(BeliefState("on", 1), tau)
-    i_off1 = 0
-    return beliefs, idle_next, i_on1, i_off1
-
-
 def solve_subsidy(cls: ChannelClass, omega: float, h0: np.ndarray | None = None,
                   span_tol: float = ORACLE_SPAN_TOL, max_iters: int = ORACLE_MAX_ITERS):
     """Relative value iteration for the subsidy problem.
@@ -115,7 +99,8 @@ def solve_subsidy(cls: ChannelClass, omega: float, h0: np.ndarray | None = None,
     Raises RuntimeError if the span has not contracted below span_tol within
     max_iters sweeps (diagnostic, should not happen for valid parameters).
     """
-    beliefs, idle_next, i_on1, i_off1 = _subsidy_mdp(cls)
+    beliefs = belief_vector(cls)
+    idle_next, i_on1, i_off1 = lattice_moves(cls)
     n = beliefs.shape[0]
     h = np.zeros(n) if h0 is None else np.array(h0, dtype=float)
     ref = cls.tau  # stationary state anchors the relative values

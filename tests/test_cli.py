@@ -132,6 +132,11 @@ def test_transient_mix_is_a_config_error_for_ball_experiments(tmp_path, capsys):
      "explicit initial state"),
     ({"n_users": 40, "horizon": 20, "seeds": [1],
       "initial_state": [1.05, -0.05] + [0.0] * 31}, "explicit initial state"),
+    ({"n_users": 1000.5, "horizon": 20, "seeds": [1]}, "expected an integer, got 1000.5"),
+    ({"n_users": 40, "horizon": 20.5, "seeds": [1]}, "expected an integer, got 20.5"),
+    ({"n_users": 40, "horizon": 20, "seeds": [1.5]}, "expected an integer, got 1.5"),
+    ({"n_users": 40, "horizon": 20, "seeds": [1], "burn_in": 2.5},
+     "burn_in must be an integer, got 2.5"),
 ])
 def test_rejected_experiment_values_are_config_errors(tmp_path, capsys, experiment,
                                                       message):
@@ -139,6 +144,39 @@ def test_rejected_experiment_values_are_config_errors(tmp_path, capsys, experime
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and message in err
+
+
+@pytest.mark.parametrize("command, mix, experiment, value", [
+    ("index-table", {**SINGLE_MIX, "classes": [{"p": 0.8, "r": 0.2, "tau": 16.7}]}, {},
+     16.7),
+    ("hitting-time", SINGLE_MIX,
+     {"n_users": 40, "epsilon": 0.1, "seeds": [1], "max_slots": 50.5}, 50.5),
+    ("deviation", SINGLE_MIX, {"n_users": 40, "steps": 20.5, "seeds": [1]}, 20.5),
+    ("pipeline", SINGLE_MIX, {"with_simulation": True, "n_users": 1000.5}, 1000.5),
+    ("pipeline", SINGLE_MIX, {"with_simulation": True, "horizon": 20.5}, 20.5),
+    ("pipeline", SINGLE_MIX, {"with_simulation": True, "seeds": [1.5]}, 1.5),
+])
+def test_fractional_counts_are_config_errors_not_truncated(tmp_path, capsys, command, mix,
+                                                           experiment, value):
+    cfg = write_config(tmp_path, config(mix, experiment))
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and f"expected an integer, got {value}" in err
+    assert not out.exists()
+
+
+def test_integral_floats_run_as_the_integers(tmp_path):
+    runs = {}
+    for kind, n, horizon, seed, tau in (("int", 40, 20, 1, 16), ("float", 4e1, 20.0, 1.0, 16.0)):
+        mix = {**SINGLE_MIX, "classes": [{"p": 0.8, "r": 0.2, "tau": tau}]}
+        out = tmp_path / kind
+        cfg = write_config(tmp_path, config(mix, {"n_users": n, "horizon": horizon,
+                                                  "seeds": [seed]}), f"{kind}.json")
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        runs[kind] = [(out / name).read_text().splitlines()[1:]
+                      for name in ("simulate.csv", "throughput_sweep.csv")]
+    assert runs["float"] == runs["int"]
 
 
 def test_relaxed_policy_on_a_transient_mix_is_a_config_error(tmp_path, capsys):

@@ -17,11 +17,15 @@ from whittlesched import (
     analytic_blocks,
     build_index_table,
     fluid_trajectory,
+    lattice_moves,
+    lattice_states,
     linearize,
     off_age,
     on_age,
     solve_relaxed,
     stability_certificate,
+    step_feedback,
+    step_idle,
 )
 from whittlesched.cli import main as cli_main, parse_mix
 from whittlesched.presets import get_preset
@@ -145,6 +149,49 @@ def region_point(model, zeta, rung_idx, rng, scale=2e-3):
             return z
         scale *= 0.5
     raise AssertionError("could not sample a point inside the linear region")
+
+
+# ---------------------------------------------------------------------------
+# lattice moves
+
+
+def three_case_moves(model):
+    """The moves written out per layout position: OffAge(l) ages to
+    OffAge(l + 1); OffAge(tau), the stationary state and OnAge(tau) to the
+    stationary state; OnAge(l) to OnAge(l + 1), one position to the left.
+    Observed users reset to the last (OnAge(1)) and the first (OffAge(1))
+    position of their class block."""
+    tau = model.tau
+    age_to = np.empty(model.dim, dtype=np.intp)
+    for k in range(model.mix.n_classes):
+        base = k * model.block
+        for i in range(model.block):
+            if i < tau - 1:          # OffAge(l) -> OffAge(l+1)
+                age_to[base + i] = base + i + 1
+            elif i in (tau - 1, tau, tau + 1):  # OffAge(tau), stationary, OnAge(tau)
+                age_to[base + i] = base + tau
+            else:                    # OnAge(l) -> OnAge(l+1): one slot left
+                age_to[base + i] = base + i - 1
+    on1 = [k * model.block + 2 * tau for k in range(model.mix.n_classes)]
+    off1 = [k * model.block for k in range(model.mix.n_classes)]
+    return age_to, on1, off1
+
+
+@pytest.mark.parametrize("tau", [2, 16, 32])
+@pytest.mark.parametrize("n_classes", [1, 2])
+def test_lattice_moves_follow_step_idle_and_step_feedback(n_classes, tau):
+    classes = (ChannelClass(0.8, 0.2, tau), ChannelClass(0.9, 0.3, tau))[:n_classes]
+    mix = ClassMix(classes=classes, gamma=(1.0,) if n_classes == 1 else (0.4, 0.6),
+                   alpha=0.5)
+    model = FluidModel(mix)
+    age_to, on1, off1 = three_case_moves(model)
+    assert model.age_to.tolist() == age_to.tolist()
+    assert model.on1.tolist() == on1 and model.off1.tolist() == off1
+    states = lattice_states(tau)
+    for cls in classes:
+        idle, on, off = lattice_moves(cls)
+        assert [states[i] for i in idle] == [step_idle(cls, s) for s in states]
+        assert (states[on], states[off]) == (step_feedback(True), step_feedback(False))
 
 
 # ---------------------------------------------------------------------------
@@ -327,11 +374,9 @@ def test_trajectory_shapes_and_region_flags(two_solution, two_table):
     model = FluidModel(two_solution.mix, two_table)
     rung = model.crossing_rung(two_solution)
     traj = fluid_trajectory(two_solution.zeta, 10, two_table,
-                            zeta=two_solution.zeta, region=(model, rung),
-                            store_path=True)
+                            zeta=two_solution.zeta, store_path=True)
     assert traj.path.shape == (11, model.dim)
-    assert traj.in_region.shape == (11,)
-    assert bool(traj.in_region.all())
+    assert all(model.in_linear_region(z, rung) for z in traj.path)
     assert np.array_equal(traj.path[0], two_solution.zeta)
 
 
@@ -342,14 +387,13 @@ def test_trajectory_from_all_mass_at_first_off_age(preset):
     z0 = np.zeros(model.dim)
     for k in range(model.mix.n_classes):
         z0[model.position(k, off_age(1))] = model.mix.gamma[k]
-    traj = fluid_trajectory(z0, 400, table, zeta=solution.zeta,
-                            region=(model, rung))
+    traj = fluid_trajectory(z0, 400, table, zeta=solution.zeta)
     model.validate(traj.final)
     assert np.isfinite(traj.distances).all()
     # the corner start pins the marginal rung for the single-class chain (all
     # mass sits on it) but not for the two-class one (its rung starts empty)
     expected_start_in_region = model.mix.n_classes == 1
-    assert bool(traj.in_region[0]) is expected_start_in_region
+    assert model.in_linear_region(z0, rung) is expected_start_in_region
     assert traj.distances[-1] < traj.distances[0]
 
 
@@ -361,7 +405,8 @@ def test_trajectory_validates_start(single_table):
 
 
 # sha256 of distances, final, path and in_region (in that order) of a
-# 300-step fluid_trajectory, recorded before the single-state ladder walk
+# 300-step fluid_trajectory, recorded before the single-state ladder walk;
+# in_region holds each path state's in_linear_region flag at the crossing rung
 TRAJECTORY_STEPS = 300
 TRAJECTORY_DIGESTS = {
     ("single-class", "x"):
@@ -411,10 +456,11 @@ def trajectory_digest(name, start):
     w = random_state(model, rng)
     starts["near-zeta"] = zeta + 1e-3 / np.linalg.norm(w - zeta) * (w - zeta)
     traj = fluid_trajectory(starts[start], TRAJECTORY_STEPS, table, zeta=zeta,
-                            region=(model, model.crossing_rung(solution)),
                             store_path=True)
+    rung = model.crossing_rung(solution)
+    in_region = np.array([model.in_linear_region(z, rung) for z in traj.path])
     digest = hashlib.sha256()
-    for part in (traj.distances, traj.final, traj.path, traj.in_region):
+    for part in (traj.distances, traj.final, traj.path, in_region):
         digest.update(part.tobytes())
     return digest.hexdigest()
 
@@ -502,13 +548,11 @@ def test_linearization_fixed_point_identities(preset):
     lin = linearize(solution)
     zeta = solution.zeta
     assert lin.affine_step(zeta) == pytest.approx(zeta, abs=1e-13)
-    assert np.abs(lin.u_star @ lin.zeta_reduced + lin.b_star).max() < 1e-15
-    assert np.array_equal(lin.reduce(zeta), lin.zeta_reduced)
+    assert np.abs(lin.u_star @ lin.reduce(zeta) + lin.b_star).max() < 1e-15
     n = solution.mix.n_classes
     assert len(lin.eliminated) == n
     dim = len(zeta)
     assert lin.u_star.shape == (dim - n, dim - n)
-    assert lin.region.omega_star == solution.omega_star
 
 
 def test_eliminated_coordinates_follow_the_policies(two_solution, two_table):
@@ -636,13 +680,6 @@ def test_certificate_refuses_expanding_map():
     cert = stability_certificate(0.5 * np.eye(4))
     assert not cert.certified
     assert "not certified" in cert.note
-
-
-def test_certificate_rejects_unreachable_powers():
-    with pytest.raises(ValueError, match="repeated squaring"):
-        stability_certificate(-np.eye(3), powers=(48,))
-    with pytest.raises(ValueError, match="repeated squaring"):
-        stability_certificate(-np.eye(3), powers=(64, 100))
 
 
 @pytest.mark.parametrize("radius, certified", [(0.05, True), (20.0, False)])

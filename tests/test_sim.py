@@ -69,6 +69,16 @@ def test_config_rejects_bad_inputs(single_mix):
             _sim(single_mix, 100, 50, 0, burn_in=burn_in)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("n_users", 100.5), ("horizon", 20.5), ("seed", 1.5), ("burn_in", 2.5)])
+def test_config_rejects_fractional_integers(single_mix, field, value):
+    settings = {"n_users": 100, "horizon": 20, "seed": 0, "burn_in": 2}
+    with pytest.raises(ValueError, match=f"{field} must be an integer, got {value}"):
+        SimConfig(mix=single_mix, **{**settings, field: value})
+    # an integral float passes as given
+    SimConfig(mix=single_mix, **{**settings, field: float(settings[field])})
+
+
 def test_config_rejects_fractional_class_counts(two_mix):
     with pytest.raises(ValueError, match="class fraction"):
         _sim(two_mix, 101, 10, 0)
@@ -98,6 +108,15 @@ def test_lattice_round_rejects_excess_class_mass(single_mix):
     z = np.zeros(2 * single_mix.tau + 1)
     z[0] = 1.5
     with pytest.raises(ValueError, match="exceeds"):
+        lattice_round(z, single_mix, 100)
+
+
+def test_lattice_round_rejects_short_class_mass(single_mix):
+    # half the class mass at OffAge(1): rounding adds at most one user to each
+    # of the 33 states, so 17 of the 50 missing users would stay missing
+    z = np.zeros(2 * single_mix.tau + 1)
+    z[0] = 0.5
+    with pytest.raises(ValueError, match="class 0 mass 0.5 falls short of gamma_0 = 1.0"):
         lattice_round(z, single_mix, 100)
 
 
