@@ -46,6 +46,7 @@ from .fluid import (
     LinearizedSystem,
     StabilityCertificate,
     analytic_blocks,
+    check_state,
     fluid_trajectory,
     linearize,
     stability_certificate,
@@ -98,6 +99,7 @@ __all__ = [
     "LinearizedSystem",
     "StabilityCertificate",
     "analytic_blocks",
+    "check_state",
     "fluid_trajectory",
     "linearize",
     "stability_certificate",

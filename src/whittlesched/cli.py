@@ -19,7 +19,6 @@ import math
 import os
 import sys
 import traceback
-from contextlib import contextmanager
 
 import numpy as np
 
@@ -44,16 +43,6 @@ CONSTRAINT_TOL = 1e-12
 
 class ConfigError(Exception):
     pass
-
-
-@contextmanager
-def _config_values():
-    """Report a value of the user's config that the library rejects while the
-    config is expanded (numbers, SimConfig fields) as a config error."""
-    try:
-        yield
-    except (TypeError, ValueError) as e:
-        raise ConfigError(str(e)) from e
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +89,7 @@ def parse_mix(d: dict) -> ClassMix:
         try:
             classes.append(ChannelClass(p=float(c["p"]), r=float(c["r"]),
                                         tau=_integer(c.get("tau", 16))))
-        except (KeyError, ValueError) as e:
+        except (KeyError, TypeError, ValueError) as e:
             raise ConfigError(f"bad class parameters: {e}") from e
     try:
         return ClassMix(classes=tuple(classes),
@@ -231,15 +220,15 @@ def cmd_index_table(cfg: dict, out_dir: str, command="index-table") -> int:
     return 0
 
 
-def _throughput_rows(runs, n_list, v):
+def _throughput_rows(runs, v):
     return [[c.n_users, c.seed, c.policy, c.engine, r["slots"], r["belief_throughput"],
              r["realized_throughput"], r["activation"], v["bound"]] for c, _, r in runs]
 
 
-def _throughput_summary(runs, n_list, v):
+def _throughput_summary(runs, v):
     """One row per N of the grid, over its seeds."""
     rows = []
-    for n in n_list:
+    for n in v["n_users"]:
         vals = [r["belief_throughput"] for c, _, r in runs if c.n_users == n]
         mean, se = _mean_se(vals)
         gap = None if v["bound"] is None else v["bound"] - mean
@@ -247,10 +236,10 @@ def _throughput_summary(runs, n_list, v):
     return rows
 
 
-def _hitting_summary(runs, n_list, v):
+def _hitting_summary(runs, v):
     """One row per (N, start) with at least one hit."""
     rows = []
-    for n in sorted(set(n_list)):
+    for n in sorted(set(v["n_users"])):
         for label in dict.fromkeys(cl for _, cl, _ in runs):
             cell = [hit for c, cl, hit in runs if (c.n_users, cl) == (n, label)]
             vals = [float(hit) for hit in cell if hit is not None]
@@ -262,7 +251,7 @@ def _hitting_summary(runs, n_list, v):
 
 def _distance_csv(name, param, column):
     """The per-seed CSV of a distance experiment: one row per (N, start, seed)."""
-    def rows(runs, n_list, v):
+    def rows(runs, v):
         return [[c.n_users, label, v[param], c.seed, r] for c, label, r in runs]
     return name, ["n_users", "start", param, "seed", column], rows
 
@@ -271,8 +260,8 @@ def _distance_csv(name, param, column):
 # None: required), the last being each run's horizon; the library call and the
 # values it takes after the SimConfig; whether it is a distance experiment (the
 # index policy from a list of starts, measured against zeta); (file name, header,
-# rows) of its per-seed CSV and its summary, rows(runs, n_list, v) taking one
-# (SimConfig, start label, result) per run.
+# rows) of its per-seed CSV and its summary, rows(runs, v) taking one
+# (SimConfig, start label, result) per run and the values of _run_kind.
 _KINDS = {
     "throughput": (
         (("horizon", _integer, None),), run_throughput, (), False,
@@ -283,7 +272,7 @@ _KINDS = {
                                    "relaxed_bound", "gap"], _throughput_summary))),
     "hitting-time": (
         (("epsilon", float, None), ("max_slots", _integer, 100000)), hitting_time,
-        ("epsilon", "zeta", "max_slots"), True,
+        ("epsilon", "zeta"), True,
         (_distance_csv("hitting_times.csv", "epsilon", "hit_slot"),
          ("hitting_summary.csv", ["n_users", "start", "mean", "se", "seeds", "misses",
                                   "epsilon"], _hitting_summary))),
@@ -291,7 +280,7 @@ _KINDS = {
         (("epsilon", float, None), ("horizon", _integer, None)), occupancy, ("epsilon", "zeta"),
         True, (_distance_csv("occupancy.csv", "epsilon", "occupancy"),)),
     "deviation": (
-        (("steps", _integer, None),), trajectory_deviation, ("steps",), True,
+        (("steps", _integer, None),), trajectory_deviation, (), True,
         (_distance_csv("deviation.csv", "steps", "sup_deviation"),)),
 }
 
@@ -300,44 +289,51 @@ _COMMAND_KINDS = {"simulate": "throughput", "hitting-time": "hitting-time",
                   "occupancy": "occupancy", "deviation": "deviation", "sweep": None}
 
 
-def run_experiment(cfg: dict, out_dir: str, command: str) -> int:
-    """Run one Monte Carlo experiment, one SimConfig per (N, start, seed) in
-    that order, and write its kind's CSVs.  A degenerate mix is a config error
-    when the kind needs the fixed point or the policy is relaxed."""
-    exp = cfg["experiment"]
-    kind = _COMMAND_KINDS[command] or _need(exp, "kind", command)
-    if not isinstance(kind, str) or kind not in _KINDS:
-        raise ConfigError(f"unknown sweep kind {kind!r}")
-    reads, fn, args, distance, outputs = _KINDS[kind]
-    mix = parse_mix(cfg["mix"])
-    table = build_index_table(mix)
-    solution = solve_relaxed(mix, table)
+def _run_kind(kind: str, exp: dict, command: str, mix: ClassMix, table, solution):
+    """Run a kind's experiment, one SimConfig per (N, start, seed) in that order;
+    return the runs as (SimConfig, start label, result) and the values the kind's
+    CSVs read.  A degenerate mix is a config error when the kind needs the fixed
+    point or the policy is relaxed."""
+    reads, fn, args, distance, _ = _KINDS[kind]
     fields = {key: exp[key] for key in ("engine", "burn_in", "policy") if key in exp}
     if distance and fields.get("policy", "whittle") != "whittle":
         raise ConfigError(f"{kind} runs the whittle policy, not {fields['policy']!r}")
     if solution.degenerate and (distance or fields.get("policy") == "relaxed"):
         raise ConfigError(f"mix is degenerate for this experiment: {solution.degenerate_reason}")
     v = {"zeta": solution.zeta, "bound": solution.throughput_per_user}  # None if degenerate
-    with _config_values():
+    try:  # a value the library rejects while the config is expanded is a config error
         for key, cast, default in reads:
             v[key] = cast(_need(exp, key, command) if default is None else exp.get(key, default))
-        n_list = [_integer(n) for n in _as_list(_need(exp, "n_users", command))]
-        seeds = [_integer(s) for s in _need(exp, "seeds", command)]
+        v["n_users"] = [_integer(n) for n in _as_list(_need(exp, "n_users", command))]
+        v["seeds"] = [_integer(s) for s in _need(exp, "seeds", command)]
         starts = _as_list(exp.get("starts", ["x"])) if distance else \
             [exp.get("initial_state", "x")]
         configs, labels = [], []
-        for n in n_list:
+        for n in v["n_users"]:
             for start in starts:
                 init = _resolve_start(start, mix, n, v["zeta"])
-                for seed in seeds:
+                for seed in v["seeds"]:
                     configs.append(SimConfig(mix=mix, n_users=n, horizon=v[reads[-1][0]],
                                              seed=seed, initial_state=init, **fields))
                     labels.append(start if isinstance(start, str) else "explicit")
+    except (TypeError, ValueError) as e:
+        raise ConfigError(str(e)) from e
     results = run_many(fn, configs, *(v[a] for a in args), table, solution)
-    runs = list(zip(configs, labels, results))
-    provenance = _provenance(config_hash(cfg, command), seeds)
-    for name, header, rows in outputs:
-        write_csv(os.path.join(out_dir, name), provenance, header, rows(runs, n_list, v))
+    return list(zip(configs, labels, results)), v
+
+
+def run_experiment(cfg: dict, out_dir: str, command: str) -> int:
+    """Run one Monte Carlo experiment and write its kind's CSVs."""
+    exp = cfg["experiment"]
+    kind = _COMMAND_KINDS[command] or _need(exp, "kind", command)
+    if not isinstance(kind, str) or kind not in _KINDS:
+        raise ConfigError(f"unknown sweep kind {kind!r}")
+    mix = parse_mix(cfg["mix"])
+    table = build_index_table(mix)
+    runs, v = _run_kind(kind, exp, command, mix, table, solve_relaxed(mix, table))
+    provenance = _provenance(config_hash(cfg, command), v["seeds"])
+    for name, header, rows in _KINDS[kind][-1]:
+        write_csv(os.path.join(out_dir, name), provenance, header, rows(runs, v))
     return 0
 
 
@@ -392,19 +388,17 @@ def cmd_pipeline(cfg: dict, out_dir: str, command="pipeline") -> int:
                            "sits on the region boundary, linearization unavailable",
             }
         if exp.get("with_simulation"):
-            with _config_values():
-                horizon = _integer(exp.get("horizon", 20000))
-                n_users = _integer(exp.get("n_users", 10000))
-                seeds = [_integer(s) for s in exp.get("seeds", list(range(1, 11)))]
-                configs = [SimConfig(mix=mix, n_users=n_users, horizon=horizon, seed=s,
-                                     engine=exp.get("engine", "pooled")) for s in seeds]
-            results = run_many(run_throughput, configs, table, solution)
-            vals = [r["belief_throughput"] for r in results]
-            mean, se = _mean_se(vals)
-            bound = solution.throughput_per_user
+            sim_exp = {"n_users": 10000, "horizon": 20000, "seeds": list(range(1, 11)), **exp}
+            for key, ok in (("policy", sim_exp.get("policy", "whittle") == "whittle"),
+                            ("n_users", not isinstance(sim_exp["n_users"], list))):
+                if not ok:  # the check below is the index policy's inequality at one N
+                    raise ConfigError("pipeline checks the whittle policy at one N; "
+                                      f"experiment key {key!r} is {sim_exp[key]!r}")
+            runs, v = _run_kind("throughput", sim_exp, command, mix, table, solution)
+            [[n_users, _, mean, se, bound, _]] = _throughput_summary(runs, v)
             ok = mean <= bound + 3 * (se or 0.0)
             report["simulation"] = {
-                "n_users": n_users, "horizon": horizon, "seeds": seeds,
+                "n_users": n_users, "horizon": v["horizon"], "seeds": v["seeds"],
                 "belief_throughput_mean": mean, "se": se,
                 "relaxed_bound": bound, "pass": ok,
             }

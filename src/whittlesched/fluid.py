@@ -34,6 +34,25 @@ MASS_TOL = 1e-9  # state-vector validation slack
 GELFAND_POWERS = (64, 128, 256)  # the certificate's K: powers of two, reached by squaring
 
 
+def check_state(z, mix: ClassMix) -> np.ndarray:
+    """z as a float array, checked to be a state vector of mix: one entry per
+    (class, lattice state), none below -MASS_TOL, and class k's entries
+    summing to gamma_k within MASS_TOL."""
+    z = np.asarray(z, dtype=float)
+    block = 2 * mix.tau + 1
+    if z.shape != (mix.n_classes * block,):
+        raise ValueError(f"state vector must have shape ({mix.n_classes * block},), "
+                         f"got {z.shape}")
+    if not z.min() >= -MASS_TOL:  # NaN fails too
+        raise ValueError(f"state vector has negative mass {z.min()}")
+    for k, g in enumerate(mix.gamma):
+        mass = z[k * block:(k + 1) * block].sum()
+        if abs(mass - g) > MASS_TOL:
+            raise ValueError(f"class {k} mass {mass} "
+                             f"{'exceeds' if mass > g else 'falls short of'} gamma_{k} = {g}")
+    return z
+
+
 class FluidModel:
     """Precomputed layout, ladder and belief arrays for one mix, with the
     fluid map and its pieces as methods."""
@@ -76,18 +95,6 @@ class FluidModel:
         self._moves_to = np.concatenate((self.age_to, self.on1, self.off1))
 
     # -- basic state-vector helpers ------------------------------------
-
-    def validate(self, z: np.ndarray) -> None:
-        z = np.asarray(z, dtype=float)
-        if z.shape != (self.dim,):
-            raise ValueError(f"state vector must have shape ({self.dim},)")
-        if z.min() < -MASS_TOL:
-            raise ValueError("state vector has negative mass")
-        for k in range(self.mix.n_classes):
-            s = z[self.class_slice(k)].sum()
-            if abs(s - self.mix.gamma[k]) > MASS_TOL:
-                raise ValueError(
-                    f"class {k} mass {s} != gamma_{k} = {self.mix.gamma[k]}")
 
     def class_slice(self, k: int) -> slice:
         return slice(k * self.block, (k + 1) * self.block)
@@ -147,7 +154,7 @@ class FluidModel:
         batch (S, dim); each row is bit-identical to stepping it alone
         (O(dim) per row, no matrix assembly).  A single state with no
         negative entry is served by walking the ladder to its marginal rung;
-        a batch, or a state with the small negative mass ``validate`` allows,
+        a batch, or a state with the small negative mass ``check_state`` allows,
         through activation_profile, the reference.  Both give the same
         bytes."""
         z = np.asarray(z, dtype=float)
@@ -483,24 +490,18 @@ def stability_certificate(u_star: np.ndarray) -> StabilityCertificate:
 class FluidTrajectory:
     distances: np.ndarray = field(repr=False)  # ||z_t - zeta||_2, length T+1 (empty if no zeta)
     final: np.ndarray = field(repr=False)
-    path: np.ndarray | None = field(default=None, repr=False)
 
 
 def fluid_trajectory(z0: np.ndarray, steps: int, table: IndexTable,
-                     zeta: np.ndarray | None = None,
-                     store_path: bool = False) -> FluidTrajectory:
+                     zeta: np.ndarray | None = None) -> FluidTrajectory:
     """Iterate the fluid map for the given number of slots."""
     model = FluidModel(table.mix, table)
-    model.validate(z0)
-    z = np.array(z0, dtype=float)
+    z = np.array(check_state(z0, table.mix))
     dists = np.empty(steps + 1) if zeta is not None else np.empty(0)
-    path = np.empty((steps + 1, model.dim)) if store_path else None
     for t in range(steps + 1):
         if zeta is not None:
             x = z - zeta
             dists[t] = math.sqrt(x.dot(x))  # np.linalg.norm(x), bit for bit
-        if store_path:
-            path[t] = z
         if t < steps:
             z = model.step(z)
-    return FluidTrajectory(distances=dists, final=z, path=path)
+    return FluidTrajectory(distances=dists, final=z)

@@ -40,7 +40,7 @@ from operator import itemgetter, mul
 import numpy as np
 
 from .belief import STATIONARY, ClassMix, off_age
-from .fluid import MASS_TOL, FluidModel, fluid_trajectory
+from .fluid import FluidModel, check_state
 from .relaxed import RelaxedSolution, solve_relaxed
 from .whittle import IndexTable, build_index_table
 
@@ -67,8 +67,10 @@ class SimConfig:
             raise ValueError(f"unknown engine {self.engine!r}")
         for name in ("n_users", "horizon", "seed", "burn_in"):
             v = getattr(self, name)
-            if isinstance(v, float) and not v.is_integer():
-                raise ValueError(f"{name} must be an integer, got {v!r}")
+            if isinstance(v, float):  # an integral one is stored as the int
+                if not v.is_integer():
+                    raise ValueError(f"{name} must be an integer, got {v!r}")
+                object.__setattr__(self, name, int(v))
         if self.n_users < 1 or self.horizon < 1:
             raise ValueError("n_users and horizon must be positive")
         if self.burn_in is not None and not 0 <= self.burn_in < self.horizon:
@@ -78,16 +80,10 @@ class SimConfig:
             if self.initial_state not in INITIAL_STATES:
                 raise ValueError(f"unknown initial state {self.initial_state!r}")
         else:
-            z = np.asarray(self.initial_state, dtype=float)
-            block = 2 * self.mix.tau + 1
-            if z.shape != (self.mix.n_classes * block,) or z.min() < 0.0:
-                raise ValueError("explicit initial state must hold "
-                                 f"{self.mix.n_classes * block} nonnegative entries")
-            for k, g in enumerate(self.mix.gamma):
-                mass = z[k * block:(k + 1) * block].sum()
-                if abs(mass - g) > MASS_TOL:
-                    raise ValueError(f"explicit initial state puts mass {mass} on class {k}, "
-                                     f"not gamma_{k} = {g}")
+            try:
+                z = check_state(self.initial_state, self.mix)
+            except ValueError as e:
+                raise ValueError(f"explicit initial state: {e}") from None
             counts = z * self.n_users
             if np.abs(counts - np.round(counts)).max() > 1e-6:
                 raise ValueError("explicit initial state must sit on the 1/N lattice")
@@ -110,18 +106,13 @@ class SimConfig:
 
 def lattice_round(z: np.ndarray, mix: ClassMix, n_users: int) -> np.ndarray:
     """Nearest state vector on the 1/N mesh with exact per-class counts
-    (largest-remainder rounding within each class block).  Each class must
-    carry its mass gamma_k to within MASS_TOL: the rounding moves at most one
-    user per state."""
-    z = np.asarray(z, dtype=float)
+    (largest-remainder rounding within each class block).  z must pass
+    ``check_state``, so the rounding moves at most one user per state."""
+    z = check_state(z, mix)
     out = np.empty_like(z)
     block = 2 * mix.tau + 1
     for k, g in enumerate(mix.gamma):
         sl = slice(k * block, (k + 1) * block)
-        mass = z[sl].sum()
-        if abs(mass - g) > MASS_TOL:
-            raise ValueError(f"class {k} mass {mass} "
-                             f"{'exceeds' if mass > g else 'falls short of'} gamma_{k} = {g}")
         target = round(g * n_users)
         raw = z[sl] * n_users
         base = np.floor(raw).astype(int)
@@ -179,7 +170,7 @@ class _EngineBase:
             for k, g in enumerate(self.mix.gamma):
                 counts[self.model.position(k, start)] = round(g * self.n)
         else:
-            z = lattice_round(np.asarray(cfg.initial_state, dtype=float), self.mix, self.n)
+            z = lattice_round(cfg.initial_state, self.mix, self.n)
             counts = np.round(z * self.n).astype(np.int64)
         return counts
 
@@ -429,22 +420,23 @@ class _Ball:
         return False
 
 
+def _observed(eng):
+    """Run the engine for its config's horizon, yielding each slot t = 0, ...,
+    horizon at which it stands: its start, then the state after each step."""
+    yield 0
+    for t in range(1, eng.config.horizon + 1):
+        eng.step()
+        yield t
+
+
 def hitting_time(config: SimConfig, epsilon: float, zeta: np.ndarray,
-                 max_slots: int | None = None,
                  table: IndexTable | None = None,
                  solution: RelaxedSolution | None = None) -> int | None:
     """First slot at which ||Z - zeta||_2 <= epsilon (0 when the start already
-    qualifies); None if not hit within max_slots (default: the horizon)."""
-    if max_slots is None:
-        max_slots = config.horizon
+    qualifies); None if not hit within the horizon."""
     eng = make_engine(config, table, solution)
     ball = _Ball(zeta, epsilon)
-    for t in range(max_slots + 1):
-        if ball.contains(eng):
-            return t
-        if t < max_slots:
-            eng.step()
-    return None
+    return next((t for t in _observed(eng) if ball.contains(eng)), None)
 
 
 def occupancy(config: SimConfig, epsilon: float, zeta: np.ndarray,
@@ -453,35 +445,24 @@ def occupancy(config: SimConfig, epsilon: float, zeta: np.ndarray,
     """Fraction of post-burn-in slots spent inside the epsilon-ball."""
     eng = make_engine(config, table, solution)
     ball = _Ball(zeta, epsilon)
-    inside = 0
-    total = 0
     burn = config.effective_burn_in
-    for t in range(config.horizon + 1):
-        if t >= burn:
-            total += 1
-            if ball.contains(eng):
-                inside += 1
-        if t < config.horizon:
-            eng.step()
-    return inside / total
+    inside = [ball.contains(eng) for t in _observed(eng) if t >= burn]
+    return sum(inside) / len(inside)
 
 
-def trajectory_deviation(config: SimConfig, steps: int,
-                         table: IndexTable | None = None,
+def trajectory_deviation(config: SimConfig, table: IndexTable | None = None,
                          solution: RelaxedSolution | None = None) -> float:
-    """Sup over t <= steps of ||Z[t] - z[t]|| between one simulation run and
-    the fluid trajectory launched from the simulation's exact initial state."""
-    if table is None:
-        table = build_index_table(config.mix)
+    """Sup over the slots t <= horizon of ||Z[t] - z[t]|| between one
+    simulation run Z and the fluid trajectory z launched from its exact
+    initial state, stepped beside it."""
     eng = make_engine(config, table, solution)
-    z0 = eng.empirical_state()
-    fl = fluid_trajectory(z0, steps, table, store_path=True)
+    z = eng.empirical_state()
     sup = 0.0
-    for t in range(steps + 1):
-        x = _offset(eng, fl.path[t])
+    for t in _observed(eng):
+        if t:
+            z = eng.model.step(z)
+        x = _offset(eng, z)
         sup = max(sup, math.sqrt(x.dot(x)))
-        if t < steps:
-            eng.step()
     return sup
 
 

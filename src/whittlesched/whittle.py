@@ -88,34 +88,34 @@ def subsidy_value(cls: ChannelClass, omega: float, threshold_age: int) -> float:
 # numerical oracle: relative value iteration on the subsidy MDP
 
 
-def solve_subsidy(cls: ChannelClass, omega: float, h0: np.ndarray | None = None,
-                  span_tol: float = ORACLE_SPAN_TOL, max_iters: int = ORACLE_MAX_ITERS):
+def solve_subsidy(cls: ChannelClass, omega: float, h0: np.ndarray | None = None):
     """Relative value iteration for the subsidy problem.
 
     Returns (h, gain, active) where h is the relative value function (zero at
     the stationary state), gain the long-run average reward, and active the
     boolean mask of states where scheduling beats idling.
 
-    Raises RuntimeError if the span has not contracted below span_tol within
-    max_iters sweeps (diagnostic, should not happen for valid parameters).
+    Raises RuntimeError if the span has not contracted below ORACLE_SPAN_TOL
+    within ORACLE_MAX_ITERS sweeps (diagnostic, should not happen for valid
+    parameters).
     """
     beliefs = belief_vector(cls)
     idle_next, i_on1, i_off1 = lattice_moves(cls)
     n = beliefs.shape[0]
     h = np.zeros(n) if h0 is None else np.array(h0, dtype=float)
     ref = cls.tau  # stationary state anchors the relative values
-    for _ in range(max_iters):
+    for _ in range(ORACLE_MAX_ITERS):
         t_pass = omega + h[idle_next]
         t_act = beliefs * (1.0 + h[i_on1]) + (1.0 - beliefs) * h[i_off1]
         t_new = np.maximum(t_pass, t_act)
         diff = t_new - h
-        if np.ptp(diff) < span_tol:
+        if np.ptp(diff) < ORACLE_SPAN_TOL:
             gain = 0.5 * (diff.max() + diff.min())
             return t_new - t_new[ref], gain, t_act > t_pass
         h = t_new - t_new[ref]
     raise RuntimeError(
-        f"value iteration did not contract to span {span_tol} in {max_iters} sweeps "
-        f"(p={cls.p}, r={cls.r}, omega={omega})")
+        f"value iteration did not contract to span {ORACLE_SPAN_TOL} in "
+        f"{ORACLE_MAX_ITERS} sweeps (p={cls.p}, r={cls.r}, omega={omega})")
 
 
 def oracle_idle_set(cls: ChannelClass, omega: float) -> frozenset[BeliefState]:

@@ -19,6 +19,7 @@ from whittlesched import (
     SimConfig,
     analytic_blocks,
     belief_value,
+    check_state,
     hitting_time,
     lattice_round,
     linearize,
@@ -234,7 +235,7 @@ def test_criterion_08_local_fluid_convergence(single_solution, two_solution):
             delta = probe - solution.zeta
             delta *= 1e-3 / np.linalg.norm(delta)
             starts.append(solution.zeta + delta)
-            model.validate(starts[-1])
+            check_state(starts[-1], model.mix)
         # the 5 starts step as one batch; each row is the serial trajectory
         z = np.stack(starts)
         for _ in range(10_000):
@@ -258,7 +259,7 @@ def test_criterion_09_concentration_improves_with_population(two_solution,
         for seed in range(1, 31):
             cfg = SimConfig(mix=two_mix, n_users=n, horizon=200, seed=seed,
                             initial_state=start)
-            sups.append(trajectory_deviation(cfg, 200, two_table, two_solution))
+            sups.append(trajectory_deviation(cfg, two_table, two_solution))
         medians[n] = float(np.median(sups))
     el = time.monotonic() - t0
     ok = medians[100_000] < medians[1_000] / 3.0
@@ -283,8 +284,7 @@ def test_criterion_10_hitting_times_flatten_with_population(two_solution,
             for seed in range(1, 31):
                 cfg = SimConfig(mix=two_mix, n_users=n, horizon=100_000,
                                 seed=seed, initial_state=init)
-                t = hitting_time(cfg, eps, two_solution.zeta,
-                                 max_slots=100_000, table=two_table,
+                t = hitting_time(cfg, eps, two_solution.zeta, table=two_table,
                                  solution=two_solution)
                 ok &= t is not None
                 hits.append(t if t is not None else 100_000)

@@ -167,16 +167,27 @@ def test_fractional_counts_are_config_errors_not_truncated(tmp_path, capsys, com
 
 
 def test_integral_floats_run_as_the_integers(tmp_path):
+    # every line below the provenance, whose hash reads the config's own text
     runs = {}
-    for kind, n, horizon, seed, tau in (("int", 40, 20, 1, 16), ("float", 4e1, 20.0, 1.0, 16.0)):
+    for kind, n, horizon, seed, tau, burn_in in (("int", 40, 20, 1, 16, 2),
+                                                 ("float", 4e1, 20.0, 1.0, 16.0, 2.0)):
         mix = {**SINGLE_MIX, "classes": [{"p": 0.8, "r": 0.2, "tau": tau}]}
         out = tmp_path / kind
         cfg = write_config(tmp_path, config(mix, {"n_users": n, "horizon": horizon,
-                                                  "seeds": [seed]}), f"{kind}.json")
+                                                  "seeds": [seed], "burn_in": burn_in}),
+                           f"{kind}.json")
         assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
         runs[kind] = [(out / name).read_text().splitlines()[1:]
                       for name in ("simulate.csv", "throughput_sweep.csv")]
     assert runs["float"] == runs["int"]
+
+
+@pytest.mark.parametrize("field", ["tau", "p"])
+def test_a_null_class_parameter_is_a_config_error(tmp_path, capsys, field):
+    mix = {**SINGLE_MIX, "classes": [{"p": 0.8, "r": 0.2, "tau": 16, field: None}]}
+    cfg = write_config(tmp_path, config(mix))
+    assert main(["index-table", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("config error: bad class parameters: ")
 
 
 def test_relaxed_policy_on_a_transient_mix_is_a_config_error(tmp_path, capsys):
@@ -568,6 +579,41 @@ def test_pipeline_with_simulation_checks_the_bound(tmp_path):
     assert sim["pass"] is True
     assert report["checks"]["throughput_bound"]["pass"] is True
     assert report["status"] == "pass"
+
+
+PIPELINE_SIMULATION = {"with_simulation": True, "n_users": 200, "horizon": 300,
+                       "seeds": [1, 2]}
+
+
+@pytest.mark.parametrize("setting, message", [
+    ({"policy": "relaxed"}, "experiment key 'policy' is 'relaxed'"),
+    ({"n_users": [200, 400]}, "experiment key 'n_users' is [200, 400]"),
+])
+def test_pipeline_simulates_the_index_policy_at_one_n(tmp_path, capsys, setting, message):
+    cfg = write_config(tmp_path, config(SINGLE_MIX, {**PIPELINE_SIMULATION, **setting}))
+    out = tmp_path / "out"
+    assert main(["pipeline", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and message in err
+    assert not out.exists()
+
+
+def test_pipeline_simulation_honours_burn_in_and_start(tmp_path):
+    means = {}
+    settings = {"default": {}, "set": {"burn_in": 100, "initial_state": "y"}}
+    for name, setting in settings.items():
+        experiment = {**PIPELINE_SIMULATION, **setting}
+        cfg = write_config(tmp_path, config(SINGLE_MIX, experiment), f"{name}.json")
+        assert main(["pipeline", "--config", cfg, "--out", str(tmp_path / name)]) == 0
+        sim = json.loads((tmp_path / name / "pipeline_report.json").read_text())["simulation"]
+        means[name] = sim["belief_throughput_mean"]
+        # the same runs through simulate give the same mean and s.e.
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / name)]) == 0
+        _, header, rows = read_csv(tmp_path / name / "throughput_sweep.csv")
+        summary = dict(zip(header, rows[0]))
+        assert sim["belief_throughput_mean"] == float(summary["belief_throughput_mean"])
+        assert sim["se"] == float(summary["se"])
+    assert means["set"] != means["default"]
 
 
 # ---------------------------------------------------------------------------

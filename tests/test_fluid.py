@@ -16,6 +16,7 @@ from whittlesched import (
     FluidModel,
     analytic_blocks,
     build_index_table,
+    check_state,
     fluid_trajectory,
     lattice_moves,
     lattice_states,
@@ -113,7 +114,7 @@ def edge_states(model, rng):
     batch path: the corners (zero-mass rungs above and at the marginal one),
     a state with every other rung empty, states whose ladder sums meet
     alpha exactly at a rung boundary, and the x corner carrying -5e-10 (as
-    ``validate`` allows) on a rung above its marginal one."""
+    ``check_state`` allows) on a rung above its marginal one."""
     states = [corner(model, 0), corner(model, model.tau)]
     z = random_state(model, rng)
     for _, pos in model.rungs[1::2]:
@@ -126,7 +127,7 @@ def edge_states(model, rng):
     assert marginal_rung(model, z) > 1 and z[p] == 0.0
     z[p] = -5e-10
     z[p - p % model.block] += 5e-10  # the class's OffAge(1)
-    model.validate(z)
+    check_state(z, model.mix)
     states.append(z)
     return np.stack(states)
 
@@ -313,18 +314,33 @@ def test_step_invariants_hold_from_any_start(two_solution, two_table, seed):
             model.mix.gamma[k], abs=CLASS_MASS_TOL)
 
 
-def test_validate_rejects_malformed_states(single_table):
-    model = FluidModel(single_table.mix, single_table)
+def test_check_state_rejects_malformed_states(single_table):
+    mix = single_table.mix
+    dim = 2 * mix.tau + 1
     with pytest.raises(ValueError, match="shape"):
-        model.validate(np.zeros(model.dim + 1))
-    bad = np.zeros(model.dim)
-    bad[0] = -1e-3
+        check_state(np.zeros(dim + 1), mix)
+    bad = np.zeros(dim)
+    bad[0] = 1.0 + 1e-3
+    bad[1] = -1e-3
     with pytest.raises(ValueError, match="negative"):
-        model.validate(bad)
-    wrong = np.zeros(model.dim)
+        check_state(bad, mix)
+    bad[1] = np.nan
+    with pytest.raises(ValueError, match="negative"):
+        check_state(bad, mix)
+    wrong = np.zeros(dim)
     wrong[0] = 0.5
-    with pytest.raises(ValueError, match="gamma"):
-        model.validate(wrong)
+    with pytest.raises(ValueError, match="class 0 mass 0.5 falls short of gamma_0 = 1.0"):
+        check_state(wrong, mix)
+    wrong[0] = 1.5
+    with pytest.raises(ValueError, match="class 0 mass 1.5 exceeds gamma_0 = 1.0"):
+        check_state(wrong, mix)
+    # slack of MASS_TOL either way; the checked state comes back as floats
+    ok = np.zeros(dim, dtype=int)
+    ok[0] = 1
+    ok_float = check_state(ok, mix)
+    assert ok_float.dtype == float and np.array_equal(ok_float, ok)
+    ok_float[1] = -5e-10
+    assert check_state(ok_float, mix) is ok_float
 
 
 # ---------------------------------------------------------------------------
@@ -373,11 +389,14 @@ def test_random_starts_converge_to_zeta(preset):
 def test_trajectory_shapes_and_region_flags(two_solution, two_table):
     model = FluidModel(two_solution.mix, two_table)
     rung = model.crossing_rung(two_solution)
-    traj = fluid_trajectory(two_solution.zeta, 10, two_table,
-                            zeta=two_solution.zeta, store_path=True)
-    assert traj.path.shape == (11, model.dim)
-    assert all(model.in_linear_region(z, rung) for z in traj.path)
-    assert np.array_equal(traj.path[0], two_solution.zeta)
+    traj = fluid_trajectory(two_solution.zeta, 10, two_table, zeta=two_solution.zeta)
+    assert traj.distances.shape == (11,)
+    assert traj.final.shape == (model.dim,)
+    path = [two_solution.zeta]
+    for _ in range(10):
+        path.append(model.step(path[-1]))
+    assert all(model.in_linear_region(z, rung) for z in path)
+    assert np.array_equal(path[-1], traj.final)
 
 
 def test_trajectory_from_all_mass_at_first_off_age(preset):
@@ -388,7 +407,7 @@ def test_trajectory_from_all_mass_at_first_off_age(preset):
     for k in range(model.mix.n_classes):
         z0[model.position(k, off_age(1))] = model.mix.gamma[k]
     traj = fluid_trajectory(z0, 400, table, zeta=solution.zeta)
-    model.validate(traj.final)
+    check_state(traj.final, model.mix)
     assert np.isfinite(traj.distances).all()
     # the corner start pins the marginal rung for the single-class chain (all
     # mass sits on it) but not for the two-class one (its rung starts empty)
@@ -455,12 +474,15 @@ def trajectory_digest(name, start):
               "dirichlet": random_state(model, rng)}
     w = random_state(model, rng)
     starts["near-zeta"] = zeta + 1e-3 / np.linalg.norm(w - zeta) * (w - zeta)
-    traj = fluid_trajectory(starts[start], TRAJECTORY_STEPS, table, zeta=zeta,
-                            store_path=True)
+    traj = fluid_trajectory(starts[start], TRAJECTORY_STEPS, table, zeta=zeta)
+    path = [starts[start]]
+    for _ in range(TRAJECTORY_STEPS):
+        path.append(model.step(path[-1]))
+    path = np.array(path)
     rung = model.crossing_rung(solution)
-    in_region = np.array([model.in_linear_region(z, rung) for z in traj.path])
+    in_region = np.array([model.in_linear_region(z, rung) for z in path])
     digest = hashlib.sha256()
-    for part in (traj.distances, traj.final, traj.path, in_region):
+    for part in (traj.distances, traj.final, path, in_region):
         digest.update(part.tobytes())
     return digest.hexdigest()
 

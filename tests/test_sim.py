@@ -75,8 +75,9 @@ def test_config_rejects_fractional_integers(single_mix, field, value):
     settings = {"n_users": 100, "horizon": 20, "seed": 0, "burn_in": 2}
     with pytest.raises(ValueError, match=f"{field} must be an integer, got {value}"):
         SimConfig(mix=single_mix, **{**settings, field: value})
-    # an integral float passes as given
-    SimConfig(mix=single_mix, **{**settings, field: float(settings[field])})
+    # an integral float passes, stored as the int
+    cfg = SimConfig(mix=single_mix, **{**settings, field: float(settings[field])})
+    assert type(getattr(cfg, field)) is int and getattr(cfg, field) == settings[field]
 
 
 def test_config_rejects_fractional_class_counts(two_mix):
@@ -118,6 +119,35 @@ def test_lattice_round_rejects_short_class_mass(single_mix):
     z[0] = 0.5
     with pytest.raises(ValueError, match="class 0 mass 0.5 falls short of gamma_0 = 1.0"):
         lattice_round(z, single_mix, 100)
+
+
+def test_lattice_round_rejects_a_malformed_state(single_mix):
+    block = 2 * single_mix.tau + 1
+    with pytest.raises(ValueError, match="negative mass -0.05"):
+        lattice_round(np.array([1.05, -0.05] + [0.0] * (block - 2)), single_mix, 100)
+    short = np.zeros(10)
+    short[0] = 1.0
+    with pytest.raises(ValueError, match=f"shape \\({block},\\)"):
+        lattice_round(short, single_mix, 100)
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_explicit_start_within_mass_tol_below_zero_counts_zero(single_mix, single_table,
+                                                               engine):
+    # an entry in [-MASS_TOL, 0) passes the state check; on the 1/N lattice it
+    # is a count of 0, so no negative count reaches the engine
+    z = np.zeros(2 * single_mix.tau + 1)
+    z[0] = 0.5 + 5e-10
+    z[1] = -5e-10
+    z[2] = 0.5
+    cfg = _sim(single_mix, 100, 5, 0, initial_state=tuple(z), engine=engine)
+    eng = make_engine(cfg, single_table)
+    expected = np.zeros_like(z)
+    expected[[0, 2]] = 0.5
+    assert np.array_equal(eng.empirical_state(), expected)
+    for _ in range(5):
+        eng.step()
+    assert eng.empirical_state().min() >= 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -501,9 +531,8 @@ def test_hitting_time_zero_inside_the_ball(single_mix, single_table,
 
 def test_hitting_time_none_when_budget_exhausted(single_mix, single_table,
                                                  single_solution):
-    cfg = _sim(single_mix, 200, 10, seed=0)
-    t = hitting_time(cfg, 1e-6, single_solution.zeta, max_slots=0,
-                     table=single_table)
+    cfg = _sim(single_mix, 200, 1, seed=0)
+    t = hitting_time(cfg, 1e-6, single_solution.zeta, table=single_table)
     assert t is None
 
 
@@ -532,14 +561,21 @@ def test_relaxed_policy_concentrates_too(single_mix, single_table,
     assert occ > 0.99
 
 
-def test_deviation_is_zero_with_no_steps(single_mix, single_table):
-    cfg = _sim(single_mix, 200, 10, seed=4)
-    assert trajectory_deviation(cfg, 0, table=single_table) == 0.0
+def test_deviation_over_one_slot_is_the_first_step_gap(single_mix, single_table):
+    # at t = 0 the run and the fluid path share the start, so the sup is the
+    # gap after one slot: ||Z_1 - F(Z_0)|| from a same-seed engine
+    cfg = _sim(single_mix, 200, 1, seed=4)
+    eng = make_engine(cfg, single_table)
+    fluid = eng.model.step(eng.empirical_state())
+    eng.step()
+    expected = float(np.linalg.norm(eng.empirical_state() - fluid))
+    assert expected > 0.0
+    assert trajectory_deviation(cfg, table=single_table) == expected
 
 
 def test_deviation_bounded_for_tiny_population(single_mix, single_table):
-    cfg = _sim(single_mix, 20, 60, seed=4)
-    dev = trajectory_deviation(cfg, 50, table=single_table)
+    cfg = _sim(single_mix, 20, 50, seed=4)
+    dev = trajectory_deviation(cfg, table=single_table)
     assert np.isfinite(dev) and 0.0 < dev < 2.0
 
 
@@ -547,14 +583,14 @@ def test_deviation_shrinks_with_population(single_mix, single_table):
     for seed in (1, 2, 3):
         devs = {}
         for n in (1000, 4000):
-            cfg = _sim(single_mix, n, 250, seed=seed)
-            devs[n] = trajectory_deviation(cfg, 200, table=single_table)
+            cfg = _sim(single_mix, n, 200, seed=seed)
+            devs[n] = trajectory_deviation(cfg, table=single_table)
         assert devs[4000] < devs[1000]
 
 
 # Two-class mix, horizon 600, seed 1, recorded with np.linalg.norm as the
 # distance: (engine, N, policy, start, hitting time at epsilon 0.01 and 0.05,
-# occupancy at 0.005 and 0.02, deviation over 200 steps).
+# occupancy at 0.005 and 0.02, deviation over a horizon of 200).
 PINNED_DISTANCES = [
     ("pooled", 1000, "whittle", "all_off_observed", None, 9, 0.0, 0.12384473197781885, 0.05326326827234012),
     ("pooled", 1000, "whittle", "all_stationary", 28, 8, 0.0, 0.11275415896487985, 0.05375259275076266),
@@ -584,7 +620,9 @@ def test_distance_experiments_are_pinned(two_mix, two_table, two_solution, engin
     assert hitting_time(cfg, 0.05, zeta, **kw) == hit05
     assert occupancy(cfg, 0.005, zeta, **kw) == occ005
     assert occupancy(cfg, 0.02, zeta, **kw) == occ02
-    assert trajectory_deviation(cfg, 200, two_table, two_solution) == dev
+    cfg = _sim(two_mix, n_users, 200, seed=1, policy=policy, initial_state=start,
+               engine=engine)
+    assert trajectory_deviation(cfg, two_table, two_solution) == dev
 
 
 @pytest.mark.parametrize("engine", ENGINES)
