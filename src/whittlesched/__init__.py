@@ -6,6 +6,11 @@ linearization and a spectral stability certificate, and Monte Carlo engines
 for finite populations.
 """
 
+import os
+
+# multithreaded OpenBLAS stalled some first certificates by ~200 ms; set before numpy loads
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .belief import (
     STATIONARY,
     BeliefState,
@@ -35,8 +40,6 @@ from .relaxed import (
     ClassPolicy,
     RelaxedSolution,
     activation_fraction,
-    compute_zeta,
-    per_user_throughput,
     solve_relaxed,
 )
 from .fluid import (
@@ -90,8 +93,6 @@ __all__ = [
     "ClassPolicy",
     "RelaxedSolution",
     "activation_fraction",
-    "compute_zeta",
-    "per_user_throughput",
     "solve_relaxed",
     "AnalyticBlocks",
     "FluidModel",

@@ -289,11 +289,12 @@ _COMMAND_KINDS = {"simulate": "throughput", "hitting-time": "hitting-time",
                   "occupancy": "occupancy", "deviation": "deviation", "sweep": None}
 
 
-def _run_kind(kind: str, exp: dict, command: str, mix: ClassMix, table, solution):
+def _run_kind(kind: str, exp: dict, command: str, mix: ClassMix, table, solution,
+              min_seeds: int = 0):
     """Run a kind's experiment, one SimConfig per (N, start, seed) in that order;
     return the runs as (SimConfig, start label, result) and the values the kind's
-    CSVs read.  A degenerate mix is a config error when the kind needs the fixed
-    point or the policy is relaxed."""
+    CSVs read.  A degenerate mix, when the kind needs the fixed point or the
+    policy is relaxed, and fewer than min_seeds seeds are config errors."""
     reads, fn, args, distance, _ = _KINDS[kind]
     fields = {key: exp[key] for key in ("engine", "burn_in", "policy") if key in exp}
     if distance and fields.get("policy", "whittle") != "whittle":
@@ -306,6 +307,9 @@ def _run_kind(kind: str, exp: dict, command: str, mix: ClassMix, table, solution
             v[key] = cast(_need(exp, key, command) if default is None else exp.get(key, default))
         v["n_users"] = [_integer(n) for n in _as_list(_need(exp, "n_users", command))]
         v["seeds"] = [_integer(s) for s in _need(exp, "seeds", command)]
+        if len(v["seeds"]) < min_seeds:
+            raise ConfigError(f"{command} needs at least {min_seeds} seeds; "
+                              f"experiment key 'seeds' is {v['seeds']!r}")
         starts = _as_list(exp.get("starts", ["x"])) if distance else \
             [exp.get("initial_state", "x")]
         configs, labels = [], []
@@ -394,9 +398,11 @@ def cmd_pipeline(cfg: dict, out_dir: str, command="pipeline") -> int:
                 if not ok:  # the check below is the index policy's inequality at one N
                     raise ConfigError("pipeline checks the whittle policy at one N; "
                                       f"experiment key {key!r} is {sim_exp[key]!r}")
-            runs, v = _run_kind("throughput", sim_exp, command, mix, table, solution)
+            # the check below needs an s.e., so at least two seeds
+            runs, v = _run_kind("throughput", sim_exp, command, mix, table, solution,
+                                min_seeds=2)
             [[n_users, _, mean, se, bound, _]] = _throughput_summary(runs, v)
-            ok = mean <= bound + 3 * (se or 0.0)
+            ok = mean <= bound + 3 * se
             report["simulation"] = {
                 "n_users": n_users, "horizon": v["horizon"], "seeds": v["seeds"],
                 "belief_throughput_mean": mean, "se": se,

@@ -10,7 +10,7 @@ for the randomization weight rho on the bracketing rung.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cache
 
 import numpy as np
@@ -47,12 +47,19 @@ def activation_fraction(cls: ChannelClass, threshold_age: int | None, rho: float
         raise ValueError(f"threshold age {threshold_age} outside 1..tau")
     if not 0.0 <= rho <= 1.0:
         raise ValueError("rho must lie in [0, 1]")
-    p = cls.p
-    h = threshold_age
+    _, _, den = _threshold_chain(cls, threshold_age, rho)
+    return 1.0 - (1.0 - cls.p) * (threshold_age - rho) / den
+
+
+def _threshold_chain(cls: ChannelClass, h: int, rho: float) -> tuple[float, float, float]:
+    """Beliefs b_h, b_{h+1} at OFF ages h and h + 1, and the normaliser den of
+    the single-class chain under the threshold policy (h, rho): it holds
+    mu0 = (1 - p) / den on each of OffAge(1..h), (1 - rho) * mu0 on
+    OffAge(h + 1) and the rest on OnAge(1)."""
     b_h = belief_value(cls, off_age(h))
     b_next = belief_value(cls, off_age(h + 1))
-    den = rho * b_h + (1.0 - rho) * b_next + (1.0 - p) * (h + 1.0 - rho)
-    return 1.0 - (1.0 - p) * (h - rho) / den
+    den = rho * b_h + (1.0 - rho) * b_next + (1.0 - cls.p) * (h + 1.0 - rho)
+    return b_h, b_next, den
 
 
 def activation_fraction_oracle(cls: ChannelClass, threshold_age: int, rho: float) -> float:
@@ -120,6 +127,9 @@ class ClassPolicy:
 
 @dataclass(frozen=True)
 class RelaxedSolution:
+    """The relaxed optimum; throughput_per_user and zeta are None exactly when
+    it is degenerate (degenerate_reason says why)."""
+
     mix: ClassMix
     table: IndexTable
     omega_star: float
@@ -127,20 +137,21 @@ class RelaxedSolution:
     rho_star: float
     policies: tuple[ClassPolicy, ...]
     activation: float
-    degenerate: bool = False
     degenerate_reason: str | None = None
-    silent_classes: tuple[int, ...] = ()
     warnings: tuple[str, ...] = ()
     throughput_per_user: float | None = None
     zeta: np.ndarray | None = field(default=None, repr=False)
+
+    @property
+    def degenerate(self) -> bool:
+        return self.degenerate_reason is not None
 
 
 def _rho_for_activation(cls: ChannelClass, h: int, target: float) -> float:
     """The rho at which activation_fraction(cls, h, rho) equals target: the
     activation is linear-fractional in rho, so this is one linear equation."""
     p = cls.p
-    b_h = belief_value(cls, off_age(h))
-    b_next = belief_value(cls, off_age(h + 1))
+    b_h, b_next, _ = _threshold_chain(cls, h, 1.0)
     t = 1.0 - target
     return ((t * (b_next + (1.0 - p) * (h + 1)) - (1.0 - p) * h)
             / (t * (1.0 - p) - (1.0 - p) - t * (b_h - b_next)))
@@ -221,7 +232,6 @@ def solve_relaxed(mix: ClassMix, table: IndexTable | None = None) -> RelaxedSolu
             rho_star = min(max(rho_star, 0.0), 1.0)
 
     policies = []
-    silent = []
     boundary = False
     for k, cls in enumerate(mix.classes):
         h = h_of[k] or None
@@ -231,7 +241,6 @@ def solve_relaxed(mix: ClassMix, table: IndexTable | None = None) -> RelaxedSolu
         if attains_k and h == cls.tau and rho_star < 1.0 - BOUNDARY_RHO_TOL:
             boundary = True
         if h is None:
-            silent.append(k)
             if k not in above:
                 warnings.append(
                     f"class {k} is transient at the relaxed optimum (its whole ladder "
@@ -245,91 +254,58 @@ def solve_relaxed(mix: ClassMix, table: IndexTable | None = None) -> RelaxedSolu
         warnings.append(
             "randomized threshold at the truncation boundary: the truncated lattice "
             "cannot represent the idle overflow state, fixed point unavailable")
-    activation = sum(g * pol.activation for g, pol in zip(mix.gamma, policies))
-    degenerate = bool(silent) or boundary
-    reason = None
-    if silent:
+    reason = throughput = zeta = None
+    if any(pol.threshold_age is None for pol in policies):
         reason = "transient class present"
     elif boundary:
         reason = "randomized threshold at truncation boundary"
-    sol = RelaxedSolution(
+    else:
+        throughput, zeta = _throughput_and_zeta(mix, policies, rho_star)
+    return RelaxedSolution(
         mix=mix,
         table=table,
         omega_star=omega_star,
         crossing_rung=i,
         rho_star=rho_star,
         policies=tuple(policies),
-        activation=activation,
-        degenerate=degenerate,
+        activation=sum(g * pol.activation for g, pol in zip(mix.gamma, policies)),
         degenerate_reason=reason,
-        silent_classes=tuple(silent),
         warnings=tuple(warnings),
+        throughput_per_user=throughput,
+        zeta=zeta,
     )
-    if degenerate:
-        return sol
-    zeta = compute_zeta(sol)
-    return replace(sol, throughput_per_user=per_user_throughput(sol), zeta=zeta)
 
 
 def _degenerate(mix, table, rung_idx, reason):
-    policies = tuple(
-        ClassPolicy(threshold_age=None, randomized=False, activation=0.0)
-        for _ in mix.classes
-    )
+    silent = ClassPolicy(threshold_age=None, randomized=False, activation=0.0)
     return RelaxedSolution(
         mix=mix, table=table, omega_star=table.ladder[rung_idx].value,
-        crossing_rung=rung_idx, rho_star=0.0,
-        policies=policies, activation=0.0, degenerate=True,
-        degenerate_reason=reason, silent_classes=tuple(range(mix.n_classes)),
-        warnings=(reason,),
+        crossing_rung=rung_idx, rho_star=0.0, policies=(silent,) * mix.n_classes,
+        activation=0.0, degenerate_reason=reason, warnings=(reason,),
     )
 
 
-def _class_chain(cls: ChannelClass, h: int, rho: float):
-    """Stationary masses of one class under its threshold policy, in closed
-    form: mu0 on OffAge(1..h), (1-rho)*mu0 on OffAge(h+1), the rest ON."""
-    p = cls.p
-    b_h = belief_value(cls, off_age(h))
-    b_next = belief_value(cls, off_age(h + 1))
-    den = rho * b_h + (1.0 - rho) * b_next + (1.0 - p) * (h + 1.0 - rho)
-    mu0 = (1.0 - p) / den
-    mu_on = 1.0 - (h + 1.0 - rho) * mu0
-    return mu0, mu_on, b_h, b_next
-
-
-def per_user_throughput(sol: RelaxedSolution) -> float:
-    """Expected per-user service rate of the relaxed optimum (scheduled slots
-    that find the channel ON)."""
-    if sol.degenerate:
-        raise ValueError("throughput undefined for a degenerate solution: "
-                         + (sol.degenerate_reason or ""))
-    total = 0.0
-    for cls, g, pol in zip(sol.mix.classes, sol.mix.gamma, sol.policies):
-        rho = sol.rho_star if pol.randomized else 1.0
-        h = pol.threshold_age
-        mu0, mu_on, b_h, b_next = _class_chain(cls, h, rho)
-        served = cls.p * mu_on + rho * b_h * mu0 + (1.0 - rho) * b_next * mu0
-        total += g * served
-    return total
-
-
-def compute_zeta(sol: RelaxedSolution) -> np.ndarray:
-    """Population fixed point of the relaxed optimum in full layout order,
-    scaled by the class fractions (entries of class k sum to gamma_k)."""
-    if sol.degenerate:
-        raise ValueError("zeta undefined for a degenerate solution: "
-                         + (sol.degenerate_reason or ""))
-    tau = sol.mix.tau
+def _throughput_and_zeta(mix: ClassMix, policies: list[ClassPolicy],
+                         rho_star: float) -> tuple[float, np.ndarray]:
+    """Per-user service rate (scheduled slots that find the channel ON) and
+    population fixed point zeta of a non-degenerate relaxed optimum, in one
+    pass over the classes.  zeta is in full layout order, scaled by the class
+    fractions (entries of class k sum to gamma_k)."""
+    tau = mix.tau
     block = 2 * tau + 1
-    z = np.zeros(sol.mix.n_classes * block)
-    for k, (cls, g, pol) in enumerate(zip(sol.mix.classes, sol.mix.gamma, sol.policies)):
-        rho = sol.rho_star if pol.randomized else 1.0
+    z = np.zeros(mix.n_classes * block)
+    total = 0.0
+    for k, (cls, g, pol) in enumerate(zip(mix.classes, mix.gamma, policies)):
+        rho = rho_star if pol.randomized else 1.0
         h = pol.threshold_age
-        mu0, mu_on, _, _ = _class_chain(cls, h, rho)
+        b_h, b_next, den = _threshold_chain(cls, h, rho)
+        mu0 = (1.0 - cls.p) / den
+        mu_on = 1.0 - (h + 1.0 - rho) * mu0
+        total += g * (cls.p * mu_on + rho * b_h * mu0 + (1.0 - rho) * b_next * mu0)
         base = k * block
         for l in range(1, h + 1):
             z[base + lattice_position(off_age(l), tau)] = g * mu0
         if rho < 1.0 and h + 1 <= tau:
             z[base + lattice_position(off_age(h + 1), tau)] = g * (1.0 - rho) * mu0
         z[base + lattice_position(on_age(1), tau)] = g * mu_on
-    return z
+    return total, z

@@ -131,7 +131,6 @@ class _EngineBase:
         self.mix = config.mix
         if table is None:
             table = build_index_table(self.mix)
-        self.table = table
         self.model = FluidModel(self.mix, table)
         self.rng = np.random.default_rng(config.seed)
         self.n = config.n_users
@@ -140,9 +139,7 @@ class _EngineBase:
             if solution is None:
                 solution = solve_relaxed(self.mix, table)
             if solution.degenerate:
-                raise ValueError("relaxed policy unavailable: " +
-                                 (solution.degenerate_reason or "degenerate solution"))
-            self.solution = solution
+                raise ValueError("relaxed policy unavailable: " + solution.degenerate_reason)
             # every rung above the crossing rung in full, the crossing rung
             # with weight rho*
             crossing = self.model.crossing_rung(solution)
@@ -151,8 +148,6 @@ class _EngineBase:
                 if pol.randomized:
                     rung_pos = self.model.position(k, pol.threshold_state)
                     self.act_prob[rung_pos] = solution.rho_star
-        else:
-            self.solution = solution
         # the ladder in order: one (position, rung) per state
         self._rungs = [pos.tolist() for _, pos in self.model.rungs]
         self._ladder = [(i, j) for j, pos in enumerate(self._rungs) for i in pos]

@@ -248,6 +248,18 @@ def test_a_missing_mix_key_is_named_whatever_the_hash_seed(tmp_path):
     assert errors == {"config error: mix is missing 'gamma'\n"}
 
 
+def test_import_defaults_openblas_to_one_thread_unless_set():
+    src = str(Path(whittlesched.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    probe = "import os, whittlesched; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    for setting, expected in ((None, "1"), ("2", "2")):
+        run_env = env if setting is None else dict(env, OPENBLAS_NUM_THREADS=setting)
+        out = subprocess.run([sys.executable, "-c", probe], env=run_env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout == f"{expected}\n"
+
+
 def test_library_fault_exits_1_and_is_not_a_config_error(tmp_path, capsys):
     # A valid mix that the library fails on: identical classes share the
     # crossing rung, where the fluid map is not affine, so linearize raises.
@@ -595,6 +607,18 @@ def test_pipeline_simulates_the_index_policy_at_one_n(tmp_path, capsys, setting,
     assert main(["pipeline", "--config", cfg, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and message in err
+    assert not out.exists()
+
+
+def test_pipeline_simulation_needs_two_seeds_for_its_check(tmp_path, capsys):
+    # one seed has no s.e.: the check mean <= bound + 3 s.e. had no slack, and
+    # this run's mean 0.49755 fell above the bound 0.49721
+    cfg = write_config(tmp_path, config(TWO_MIX, {"with_simulation": True, "n_users": 1000,
+                                                  "horizon": 200, "seeds": [7]}))
+    out = tmp_path / "out"
+    assert main(["pipeline", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == \
+        "config error: pipeline needs at least 2 seeds; experiment key 'seeds' is [7]\n"
     assert not out.exists()
 
 

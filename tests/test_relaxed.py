@@ -13,8 +13,6 @@ from whittlesched.relaxed import (
     EQ_TOL,
     activation_fraction,
     activation_fraction_oracle,
-    compute_zeta,
-    per_user_throughput,
     solve_relaxed,
 )
 from whittlesched.whittle import build_index_table
@@ -152,11 +150,9 @@ def test_transient_class_is_degenerate():
     sol = solve_relaxed(mix)
     assert sol.degenerate
     assert sol.degenerate_reason == "transient class present"
-    assert sol.silent_classes
-    with pytest.raises(ValueError):
-        per_user_throughput(sol)
-    with pytest.raises(ValueError):
-        compute_zeta(sol)
+    assert sol.policies[1].threshold_age is None
+    assert sol.throughput_per_user is None
+    assert sol.zeta is None
 
 
 def test_truncation_gap_is_degenerate():
@@ -387,6 +383,7 @@ def test_ladder_walk_matches_the_slow_walk():
         assert [pol.randomized for pol in sol.policies] == randomized
         assert sol.degenerate_reason == reason
         assert sol.degenerate == (reason is not None)
+        assert (sol.zeta is None) == (sol.throughput_per_user is None) == sol.degenerate
         if not sol.degenerate:
             assert abs(sol.activation - mix.alpha) <= 2 * math.ulp(1.0)
         kinds.add(reason.split(":")[0].split(" ")[0] if reason else None)

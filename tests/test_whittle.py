@@ -12,6 +12,7 @@ from whittlesched.belief import (
     STATIONARY,
     ChannelClass,
     ClassMix,
+    belief_value,
     lattice_states,
     off_age,
     on_age,
@@ -145,6 +146,20 @@ def test_oracle_recovers_closed_form_smoke():
     got2 = whittle_index_oracle(cls, off_age(2), tol=1e-4)
     assert got1 == pytest.approx(0.2, abs=ORACLE_TOL)
     assert got2 == pytest.approx(0.3929, abs=ORACLE_TOL)
+
+
+@pytest.mark.parametrize("p,r,age", [(0.8, 0.2, 1), (0.8, 0.2, 4), (0.8, 0.2, 16),
+                                      (0.9, 0.45, 1)])
+def test_on_age_ladder_value_is_the_stationary_index_not_the_subsidy_index(p, r, age):
+    # The oracle's subsidy index at an ON age is Liu & Zhao's b / (1 - p + b);
+    # the ladder ties every ON age at the stationary index, which is no higher.
+    cls = ChannelClass(p, r)
+    tol = 1e-6
+    b = belief_value(cls, on_age(age))
+    oracle = whittle_index_oracle(cls, on_age(age), tol=tol)
+    assert oracle == pytest.approx(b / (1 - p + b), abs=tol)
+    assert whittle_index(cls, on_age(age)) == stationary_index(cls)
+    assert whittle_index(cls, on_age(age)) <= oracle + tol
 
 
 @settings(max_examples=25, deadline=None)
