@@ -7,7 +7,8 @@ with identical config and seeds are byte-identical.
 
 Exit codes: 0 success; 1 a certified check failed (pipeline) or the library
 raised an error, reported on stderr as ``error:`` with the exception and the
-line that raised it; 2 a usage or config error, reported as ``config error:``.
+line that raised it; 2 a usage error, reported by argparse, or a config error,
+reported as ``config error:``.
 """
 
 from __future__ import annotations
@@ -290,11 +291,12 @@ _COMMAND_KINDS = {"simulate": "throughput", "hitting-time": "hitting-time",
 
 
 def _run_kind(kind: str, exp: dict, command: str, mix: ClassMix, table, solution,
-              min_seeds: int = 0):
+              min_seeds: int = 1):
     """Run a kind's experiment, one SimConfig per (N, start, seed) in that order;
     return the runs as (SimConfig, start label, result) and the values the kind's
     CSVs read.  A degenerate mix, when the kind needs the fixed point or the
-    policy is relaxed, and fewer than min_seeds seeds are config errors."""
+    policy is relaxed, an empty N list and fewer than min_seeds seeds are config
+    errors."""
     reads, fn, args, distance, _ = _KINDS[kind]
     fields = {key: exp[key] for key in ("engine", "burn_in", "policy") if key in exp}
     if distance and fields.get("policy", "whittle") != "whittle":
@@ -307,9 +309,10 @@ def _run_kind(kind: str, exp: dict, command: str, mix: ClassMix, table, solution
             v[key] = cast(_need(exp, key, command) if default is None else exp.get(key, default))
         v["n_users"] = [_integer(n) for n in _as_list(_need(exp, "n_users", command))]
         v["seeds"] = [_integer(s) for s in _need(exp, "seeds", command)]
-        if len(v["seeds"]) < min_seeds:
-            raise ConfigError(f"{command} needs at least {min_seeds} seeds; "
-                              f"experiment key 'seeds' is {v['seeds']!r}")
+        for key, least in (("n_users", 1), ("seeds", min_seeds)):
+            if len(v[key]) < least:
+                raise ConfigError(f"{command} needs at least {least} {key}; "
+                                  f"experiment key {key!r} is {v[key]!r}")
         starts = _as_list(exp.get("starts", ["x"])) if distance else \
             [exp.get("initial_state", "x")]
         configs, labels = [], []
@@ -427,41 +430,44 @@ _COMMANDS = {"index-table": cmd_index_table, **dict.fromkeys(_COMMAND_KINDS, run
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="whittlesched",
-        description="Whittle-index downlink scheduling experiments: index tables, "
-                    "relaxed-optimal policies, fluid stability, Monte Carlo sweeps.",
-        epilog=f"Worker pool size is read from ${_sim.WORKERS_ENV}. "
-               "Start aliases: x = all OFF observed, y = all stationary, "
-               "zeta = fixed point on the 1/N lattice. With a single seed the "
-               "s.e. columns are emitted empty.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    helps = {
+    helps = {  # a newline continues a help text under the one above
         "index-table": "emit the per-state Whittle index table",
-        "simulate": "run the scheduler and report per-user throughput/activation",
-        "hitting-time": "first-entry times into an epsilon-ball around the fixed point",
-        "occupancy": "fraction of slots spent inside an epsilon-ball around the fixed point",
-        "deviation": "sup-norm gap between one run and the fluid trajectory",
-        "sweep": "run experiment.kind (throughput, hitting-time, occupancy or deviation) "
-                 "over an N grid; writes that command's CSVs",
-        "pipeline": "solve, certify stability, optionally simulate; JSON report",
+        "simulate": "run the scheduler and report per-user\nthroughput/activation",
+        "hitting-time": "first-entry times into an epsilon-ball\naround the fixed point",
+        "occupancy": "fraction of slots spent inside an\nepsilon-ball around the fixed point",
+        "deviation": "sup-norm gap between one run and the fluid\ntrajectory",
+        "sweep": "run experiment.kind (throughput,\nhitting-time, occupancy or deviation) over\n"
+                 "an N grid; writes that command's CSVs",
+        "pipeline": "solve, certify stability, optionally\nsimulate; JSON report",
     }
-    for name in _COMMANDS:
-        p = sub.add_parser(name, help=helps[name])
-        p.add_argument("--config", help="JSON config path")
-        p.add_argument("--preset", help="shipped preset name")
-        p.add_argument("--out", default=".", help="output directory (default: .)")
-        p.add_argument("--seeds", help="comma-separated seed list overriding the config")
+    # one flat parser: every command takes the same four options
+    parser = argparse.ArgumentParser(
+        prog="whittlesched", formatter_class=argparse.RawTextHelpFormatter,
+        description="Whittle-index downlink scheduling experiments: index tables,\n"
+                    "relaxed-optimal policies, fluid stability, Monte Carlo sweeps.",
+        epilog=f"Worker pool size is read from ${_sim.WORKERS_ENV}.\n"
+               "Start aliases: x = all OFF observed, y = all stationary,\n"
+               "zeta = fixed point on the 1/N lattice.\n"
+               "With a single seed the s.e. columns are emitted empty.",
+    )
+    parser.add_argument("command", choices=_COMMANDS, metavar="command",
+                        help="\n".join(f"{name:13} " + helps[name].replace("\n", "\n" + " " * 14)
+                                       for name in _COMMANDS))
+    parser.add_argument("--config", help="JSON config path")
+    parser.add_argument("--preset", help="shipped preset name")
+    parser.add_argument("--out", help="output directory (default: the config's out_dir, else .)")
+    parser.add_argument("--seeds", help="comma-separated seed list overriding the config")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as e:  # argparse has printed the usage error or the help
+        return e.code
     try:
         cfg = load_config(args)
-        out_dir = args.out if args.out != "." else cfg.get("out_dir", ".")
+        out_dir = cfg.get("out_dir", ".") if args.out is None else args.out
         return _COMMANDS[args.command](cfg, out_dir, args.command)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)

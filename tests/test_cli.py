@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import whittlesched
-from whittlesched.cli import main
+from whittlesched.cli import _COMMANDS, build_parser, main
 from whittlesched.presets import PRESETS, get_preset
 
 SINGLE_MIX = {"classes": [{"p": 0.8, "r": 0.2, "tau": 16}],
@@ -55,6 +55,48 @@ def read_csv(path):
 
 # ---------------------------------------------------------------------------
 # config and usage errors (exit code 2)
+
+
+# every command's help sentence, as `whittlesched --help` prints it
+COMMAND_HELPS = {
+    "index-table": "emit the per-state Whittle index table",
+    "simulate": "run the scheduler and report per-user throughput/activation",
+    "hitting-time": "first-entry times into an epsilon-ball around the fixed point",
+    "occupancy": "fraction of slots spent inside an epsilon-ball around the fixed point",
+    "deviation": "sup-norm gap between one run and the fluid trajectory",
+    "sweep": "run experiment.kind (throughput, hitting-time, occupancy or deviation) "
+             "over an N grid; writes that command's CSVs",
+    "pipeline": "solve, certify stability, optionally simulate; JSON report",
+}
+
+
+@pytest.mark.parametrize("command", list(_COMMANDS))
+def test_parser_reads_the_shared_options_of_every_command(command):
+    args = build_parser().parse_args([command, "--config", "c.json", "--out", "o",
+                                      "--seeds", "1,2"])
+    assert vars(args) == {"command": command, "config": "c.json", "preset": None,
+                          "out": "o", "seeds": "1,2"}
+
+
+def test_help_names_every_command_with_its_help_and_exits_0(capsys):
+    assert main(["--help"]) == 0
+    out = " ".join(capsys.readouterr().out.split())
+    assert out.startswith("usage: whittlesched")
+    assert set(COMMAND_HELPS) == set(_COMMANDS)
+    for command, text in COMMAND_HELPS.items():
+        assert f" {command} {text}" in out
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["bogus"], "argument command: invalid choice: 'bogus'"),
+    ([], "the following arguments are required: command"),
+    (["pipeline", "--preset", "two-class", "--outdir", "o"], "unrecognized arguments"),
+], ids=["unknown-command", "no-command", "unknown-option"])
+def test_usage_errors_return_2_instead_of_raising(tmp_path, capsys, argv, message):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: whittlesched") and message in captured.err
 
 
 def test_requires_exactly_one_config_source(tmp_path, capsys):
@@ -144,6 +186,30 @@ def test_rejected_experiment_values_are_config_errors(tmp_path, capsys, experime
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and message in err
+
+
+@pytest.mark.parametrize("command, experiment", [
+    ("simulate", {"n_users": 40, "horizon": 20}),
+    ("sweep", {"kind": "throughput", "n_users": [40, 80], "horizon": 20}),
+    ("hitting-time", {"n_users": 40, "epsilon": 0.1, "max_slots": 50}),
+])
+@pytest.mark.parametrize("empty, override, message", [
+    ("seeds", [], "needs at least 1 seeds; experiment key 'seeds' is []"),
+    ("seeds", ["--seeds", ","], "needs at least 1 seeds; experiment key 'seeds' is []"),
+    ("n_users", [], "needs at least 1 n_users; experiment key 'n_users' is []"),
+], ids=["seeds", "seeds-override", "n_users"])
+def test_an_empty_seed_or_n_list_is_a_config_error(tmp_path, capsys, command, experiment,
+                                                   empty, override, message):
+    # an empty seed list used to write a row of nan means; an empty N list
+    # header-only CSVs
+    experiment = {"seeds": [1, 2], **experiment}
+    if not override:
+        experiment[empty] = []
+    cfg = write_config(tmp_path, config(SINGLE_MIX, experiment))
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out), *override]) == 2
+    assert capsys.readouterr().err == f"config error: {command} {message}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command, mix, experiment, value", [
@@ -649,6 +715,15 @@ def test_out_dir_falls_back_to_config(tmp_path):
     cfg = write_config(tmp_path, config(SINGLE_MIX, out_dir=str(target)))
     assert main(["index-table", "--config", cfg]) == 0
     assert (target / "index_table.csv").exists()
+
+
+def test_explicit_out_dot_wins_over_the_config_out_dir(tmp_path, monkeypatch):
+    target = tmp_path / "from_config"
+    cfg = write_config(tmp_path, config(SINGLE_MIX, out_dir=str(target)))
+    monkeypatch.chdir(tmp_path)
+    assert main(["index-table", "--config", cfg, "--out", "."]) == 0
+    assert (tmp_path / "index_table.csv").exists()
+    assert not target.exists()
 
 
 def test_config_hash_ignores_out_dir(tmp_path):
