@@ -20,6 +20,7 @@ import math
 import os
 import sys
 import traceback
+from functools import cache
 
 import numpy as np
 
@@ -127,7 +128,7 @@ def load_config(args) -> dict:
     if not isinstance(exp, dict):
         raise ConfigError("experiment must be an object")
     _reject_unknown(exp, _EXPERIMENT_KEYS, "experiment")
-    if args.seeds:
+    if args.seeds is not None:  # an empty override empties the list, as "," does
         try:
             exp["seeds"] = [int(s) for s in args.seeds.split(",") if s]
         except ValueError as e:
@@ -373,7 +374,7 @@ def cmd_pipeline(cfg: dict, out_dir: str, command="pipeline") -> int:
         report["status"] = "transient-regime"
         report["relaxed"]["degenerate_reason"] = solution.degenerate_reason
     else:
-        model = FluidModel(mix, table)
+        model = FluidModel(mix, table)  # serves the residual and the linearization
         resid = float(np.linalg.norm(model.step(solution.zeta) - solution.zeta))
         constr = abs(solution.activation - mix.alpha)
         report["checks"]["constraint_residual"] = {
@@ -381,7 +382,7 @@ def cmd_pipeline(cfg: dict, out_dir: str, command="pipeline") -> int:
         report["checks"]["fixed_point_residual"] = {
             "value": resid, "tolerance": FIXED_POINT_TOL, "pass": resid < FIXED_POINT_TOL}
         if 0.0 < solution.rho_star < 1.0:
-            lin = linearize(solution, table)
+            lin = linearize(solution, model=model)
             cert = stability_certificate(lin.u_star)
             report["checks"]["stability"] = {
                 "estimates": [[k, v] for k, v in cert.estimates],
@@ -418,9 +419,9 @@ def cmd_pipeline(cfg: dict, out_dir: str, command="pipeline") -> int:
         report["status"] = "fail" if failed else "pass"
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "pipeline_report.json")
+    # encoded whole and written in one call: json.dump writes chunk by chunk
     with open(path, "w", encoding="utf-8") as f:
-        json.dump(report, f, indent=2, sort_keys=True)
-        f.write("\n")
+        f.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
     print(f"pipeline: {report['status']} (report: {path})")
     return 1 if failed else 0
 
@@ -429,7 +430,10 @@ _COMMANDS = {"index-table": cmd_index_table, **dict.fromkeys(_COMMAND_KINDS, run
              "pipeline": cmd_pipeline}
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared by every
+    later one in the process: parse_args keeps no state between calls."""
     helps = {  # a newline continues a help text under the one above
         "index-table": "emit the per-state Whittle index table",
         "simulate": "run the scheduler and report per-user\nthroughput/activation",
@@ -467,7 +471,12 @@ def main(argv=None) -> int:
         return e.code
     try:
         cfg = load_config(args)
-        out_dir = cfg.get("out_dir", ".") if args.out is None else args.out
+        source, out_dir = (("out_dir", cfg.get("out_dir", ".")) if args.out is None
+                           else ("--out", args.out))
+        # "" would write into the working directory or fail in makedirs
+        if not isinstance(out_dir, str) or not out_dir:
+            raise ConfigError(f"{source} must name an output directory (. for the working "
+                              f"directory), got {out_dir!r}")
         return _COMMANDS[args.command](cfg, out_dir, args.command)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)

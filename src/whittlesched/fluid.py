@@ -253,8 +253,8 @@ def _eliminated_coordinates(model: FluidModel, solution: RelaxedSolution) -> lis
     return out
 
 
-def linearize(solution: RelaxedSolution,
-              table: IndexTable | None = None) -> LinearizedSystem:
+def linearize(solution: RelaxedSolution, table: IndexTable | None = None, *,
+              model: FluidModel | None = None) -> LinearizedSystem:
     """Exact affine form of the fluid map on the marginal-rung region, read
     off the map.
 
@@ -267,13 +267,17 @@ def linearize(solution: RelaxedSolution,
     class's eliminated coordinate to coordinate i: its column i is
     J[:, i] - J[:, elim].  A rung tied across positions is not affine (its
     served share is a ratio of masses), so it is rejected.
+
+    A caller that already holds the mix's FluidModel passes it as ``model``;
+    otherwise one is built from ``table`` (default: the solution's table).
     """
     if solution.degenerate:
         raise ValueError("cannot linearize a degenerate solution")
     if solution.rho_star in (0.0, 1.0):
         raise ValueError("non-generic alpha: the fixed point sits on the "
                          "boundary of the marginal-rung region")
-    model = FluidModel(solution.mix, table if table is not None else solution.table)
+    if model is None:
+        model = FluidModel(solution.mix, table if table is not None else solution.table)
     rung_idx = model.crossing_rung(solution)
     if len(model.rungs[rung_idx][1]) > 1:
         raise ValueError("crossing rung is tied across classes; the fluid map "

@@ -20,6 +20,7 @@ from .belief import (
     BeliefState,
     ChannelClass,
     ClassMix,
+    _off_belief,
     belief_value,
     lattice_position,
     off_age,
@@ -56,8 +57,8 @@ def _threshold_chain(cls: ChannelClass, h: int, rho: float) -> tuple[float, floa
     the single-class chain under the threshold policy (h, rho): it holds
     mu0 = (1 - p) / den on each of OffAge(1..h), (1 - rho) * mu0 on
     OffAge(h + 1) and the rest on OnAge(1)."""
-    b_h = belief_value(cls, off_age(h))
-    b_next = belief_value(cls, off_age(h + 1))
+    b_h = _off_belief(cls.p, cls.r, h)
+    b_next = _off_belief(cls.p, cls.r, h + 1)
     den = rho * b_h + (1.0 - rho) * b_next + (1.0 - cls.p) * (h + 1.0 - rho)
     return b_h, b_next, den
 
@@ -293,6 +294,7 @@ def _throughput_and_zeta(mix: ClassMix, policies: list[ClassPolicy],
     fractions (entries of class k sum to gamma_k)."""
     tau = mix.tau
     block = 2 * tau + 1
+    on1 = lattice_position(on_age(1), tau)
     z = np.zeros(mix.n_classes * block)
     total = 0.0
     for k, (cls, g, pol) in enumerate(zip(mix.classes, mix.gamma, policies)):
@@ -303,9 +305,9 @@ def _throughput_and_zeta(mix: ClassMix, policies: list[ClassPolicy],
         mu_on = 1.0 - (h + 1.0 - rho) * mu0
         total += g * (cls.p * mu_on + rho * b_h * mu0 + (1.0 - rho) * b_next * mu0)
         base = k * block
-        for l in range(1, h + 1):
-            z[base + lattice_position(off_age(l), tau)] = g * mu0
+        # OFF ages 1..tau lead the layout, OffAge(l) at position l - 1
+        z[base:base + h] = g * mu0
         if rho < 1.0 and h + 1 <= tau:
-            z[base + lattice_position(off_age(h + 1), tau)] = g * (1.0 - rho) * mu0
-        z[base + lattice_position(on_age(1), tau)] = g * mu_on
+            z[base + h] = g * (1.0 - rho) * mu0
+        z[base + on1] = g * mu_on
     return total, z

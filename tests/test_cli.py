@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import whittlesched
+from whittlesched import cli, fluid
 from whittlesched.cli import _COMMANDS, build_parser, main
 from whittlesched.presets import PRESETS, get_preset
 
@@ -97,6 +98,50 @@ def test_usage_errors_return_2_instead_of_raising(tmp_path, capsys, argv, messag
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("usage: whittlesched") and message in captured.err
+
+
+def test_the_parser_is_built_once_and_keeps_calls_independent(tmp_path, capsys):
+    assert build_parser() is build_parser()
+    # an option of one call does not reach the next: the second run reads the
+    # config's seeds
+    cfg = write_config(tmp_path, config(
+        SINGLE_MIX, {"n_users": 40, "horizon": 20, "seeds": [3, 4, 5]}))
+    for argv, seeds in ((["--seeds", "1,2"], "1,2"), ([], "3,4,5")):
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out"), *argv]) == 0
+        provenance, _, rows = read_csv(tmp_path / "out" / "simulate.csv")
+        assert provenance.endswith(f"seeds={seeds}")
+        assert [row[1] for row in rows] == seeds.split(",")
+    pipeline = ["pipeline", "--preset", "two-class", "--out", str(tmp_path / "report")]
+    for runs in (False, True):
+        if runs:
+            assert main(pipeline) == 0
+        capsys.readouterr()
+        assert main(["--help"]) == 0
+        assert capsys.readouterr().out.startswith("usage: whittlesched")
+        assert main(["bogus"]) == 2
+        assert "invalid choice: 'bogus'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", list(_COMMANDS))
+def test_an_empty_out_is_a_config_error_for_every_command(tmp_path, capsys, monkeypatch,
+                                                          command):
+    # --out "" used to write into the working directory (index-table) or fail
+    # in makedirs as a library fault (pipeline)
+    experiment = {"kind": "throughput", "n_users": 40, "horizon": 20, "epsilon": 0.1,
+                  "steps": 20, "seeds": [1]}
+    cfg = write_config(tmp_path, config(SINGLE_MIX, experiment))
+    monkeypatch.chdir(tmp_path)
+    assert main([command, "--config", cfg, "--out", ""]) == 2
+    assert capsys.readouterr().err == "config error: --out must name an output directory " \
+        "(. for the working directory), got ''\n"
+    # so is an empty or non-string out_dir in the config, which used to exit 1
+    # with a TypeError from os.path.join
+    for i, out_dir in enumerate(["", 5]):
+        cfg_out = write_config(tmp_path, config(SINGLE_MIX, experiment, out_dir=out_dir),
+                               f"out{i}.json")
+        assert main([command, "--config", cfg_out]) == 2
+        assert capsys.readouterr().err.startswith("config error: out_dir must name")
+    assert sorted(os.listdir(tmp_path)) == ["config.json", "out0.json", "out1.json"]
 
 
 def test_requires_exactly_one_config_source(tmp_path, capsys):
@@ -196,8 +241,9 @@ def test_rejected_experiment_values_are_config_errors(tmp_path, capsys, experime
 @pytest.mark.parametrize("empty, override, message", [
     ("seeds", [], "needs at least 1 seeds; experiment key 'seeds' is []"),
     ("seeds", ["--seeds", ","], "needs at least 1 seeds; experiment key 'seeds' is []"),
+    ("seeds", ["--seeds", ""], "needs at least 1 seeds; experiment key 'seeds' is []"),
     ("n_users", [], "needs at least 1 n_users; experiment key 'n_users' is []"),
-], ids=["seeds", "seeds-override", "n_users"])
+], ids=["seeds", "seeds-override", "seeds-override-empty", "n_users"])
 def test_an_empty_seed_or_n_list_is_a_config_error(tmp_path, capsys, command, experiment,
                                                    empty, override, message):
     # an empty seed list used to write a row of nan means; an empty N list
@@ -534,6 +580,44 @@ def test_csv_bytes_match_the_recorded_digests(tmp_path, case):
         assert hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest() == digest
 
 
+def _grid_mix(classes, gamma, alpha, tau):
+    return {"classes": [{"p": p, "r": r, "tau": tau} for p, r in classes],
+            "gamma": gamma, "alpha": alpha}
+
+
+# sha256 of pipeline_report.json before pipeline shared one FluidModel and
+# wrote the report in one call; shipped presets run as --preset, the other
+# mixes from a config holding the mix alone
+PIPELINE_GOLDEN = {
+    "single-class": ("single-class",
+                     "df23c16a75c3b96bae95b36fe6625f41751fdb15308cf0e5d83cec83c144988a"),
+    "two-class": ("two-class",
+                  "475f2b4569e6e3bcfc8a1301f00f68ff32d9f4bb787b27bfd99b824ed724a0b0"),
+    "fig5": ("fig5", "9a78a7c4069eebd682f7c0e51e60260ea343a0c841f86af8915a9b241d21eff7"),
+    "1c-t32": (_grid_mix([(0.9, 0.3)], [1.0], 0.45, 32),
+               "b0a378f76ffd5d100edbebd513edd68aa85267fb512cd3972d51ce321baa21cc"),
+    "2c-t32": (_grid_mix([(0.9, 0.45), (0.8, 0.3)], [0.45, 0.55], 0.5, 32),
+               "2b0cb4415bf0eb1afcdb60427c7e30cbbdd62fbe8e5dd0835fff30b9c5f30824"),
+    "2c-transient-t16": (_grid_mix([(0.9, 0.3), (0.6, 0.35)], [0.5, 0.5], 0.3, 16),
+                         "b12f9de74169533b093db47403927841d6c61181c453f3017d49534a3fa03c53"),
+}
+
+
+def run_pipeline(tmp_path, source) -> int:
+    """pipeline on a preset name, or on a config holding the mix alone."""
+    argv = ["--preset", source] if isinstance(source, str) else \
+        ["--config", write_config(tmp_path, config(source))]
+    return main(["pipeline", *argv, "--out", str(tmp_path / "out")])
+
+
+@pytest.mark.parametrize("case", sorted(PIPELINE_GOLDEN))
+def test_pipeline_report_bytes_match_the_recorded_digests(tmp_path, case):
+    source, digest = PIPELINE_GOLDEN[case]
+    assert run_pipeline(tmp_path, source) == 0
+    report = (tmp_path / "out" / "pipeline_report.json").read_bytes()
+    assert hashlib.sha256(report).hexdigest() == digest
+
+
 def test_every_run_writes_its_kinds_csvs(tmp_path):
     headers = {
         "simulate.csv": ["n_users", "seed", "policy", "engine", "slots_averaged",
@@ -624,6 +708,29 @@ def test_pipeline_passes_on_the_two_class_benchmark(tmp_path, capsys):
     assert checks["fixed_point_residual"]["value"] < 1e-10
     assert checks["stability"]["certified"]
     assert len(checks["stability"]["estimates"]) == 3
+
+
+@pytest.mark.parametrize("source", ["single-class", "two-class", "fig5",
+                                    PIPELINE_GOLDEN["2c-t32"][0]],
+                         ids=["single-class", "two-class", "fig5", "2c-t32"])
+def test_pipeline_linearizes_with_its_model_to_the_same_numbers(tmp_path, monkeypatch,
+                                                                 source):
+    # pipeline hands the FluidModel of its residual check to linearize; the
+    # linearization must be the one linearize builds with a model of its own
+    seen = []
+
+    def spy(solution, *args, **kwargs):
+        lin = fluid.linearize(solution, *args, **kwargs)
+        seen.append((solution, kwargs["model"], lin))
+        return lin
+
+    monkeypatch.setattr(cli, "linearize", spy)
+    assert run_pipeline(tmp_path, source) == 0
+    [(solution, model, shared)] = seen
+    assert isinstance(model, fluid.FluidModel) and model.table is solution.table
+    own = fluid.linearize(solution)
+    for name in ("q_star", "a_star", "u_star", "b_star"):
+        assert np.array_equal(getattr(shared, name), getattr(own, name)), name
 
 
 def test_pipeline_reports_transient_regime(tmp_path):
